@@ -80,19 +80,19 @@ profile:
 	@echo "profiles/: cpu.pprof (inspect with '$(GO) tool pprof profiles/difftrace.test profiles/cpu.pprof'), manifest.json"
 
 # Replay the checked-in fuzz seeds (corrupt/truncated trace corpora, plus
-# the bitset-vs-map AttrSet equivalence scripts) as regular tests — no
-# fuzzing engine, deterministic, fast.
+# the bitset-vs-map AttrSet and NLR-vs-reference equivalence scripts) as
+# regular tests — no fuzzing engine, deterministic, fast.
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/trace ./internal/parlot ./internal/nlr ./internal/fca/reftest ./internal/diffnlr
+	$(GO) test -run='^Fuzz' ./internal/trace ./internal/parlot ./internal/nlr ./internal/nlr/reftest ./internal/fca/reftest ./internal/diffnlr
 
-# Short live fuzzing session over the trace readers, the streaming
-# equivalence targets (streaming reader vs batch reader, streaming NLR vs
-# batch NLR), and the divergence alignment walk.
+# Short live fuzzing session over the trace readers, the equivalence
+# targets (streaming reader vs batch reader, NLR summarizer vs its frozen
+# string-keyed reference), and the divergence alignment walk.
 fuzz:
 	$(GO) test -fuzz=FuzzReadSetText -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzReadSetBinary -fuzztime=30s ./internal/parlot
 	$(GO) test -fuzz=FuzzStreamReader -fuzztime=30s ./internal/parlot
-	$(GO) test -fuzz=FuzzStreamSummarize -fuzztime=30s ./internal/nlr
+	$(GO) test -fuzz=FuzzSummarizeReference -fuzztime=30s ./internal/nlr/reftest
 	$(GO) test -fuzz=FuzzFindDivergence -fuzztime=30s ./internal/diffnlr
 
 # Telemetry overhead benchmark: the fully-instrumented job path (obs.Run,

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"difftrace/internal/attr"
 	"difftrace/internal/bscore"
@@ -222,9 +223,10 @@ func DiffRunContext(ctx context.Context, normal, faulty *trace.TraceSet, cfg Con
 	ff := cfg.Filter.ApplySet(faulty)
 	spFilter.End()
 
+	nv, fv := vocabs(normal.Registry, faulty.Registry)
 	levels := []*levelRun{
-		newLevelRun("thread level", "threads", threadObjects(fn), threadObjects(ff)),
-		newLevelRun("process level", "processes", processObjects(fn), processObjects(ff)),
+		newLevelRun("thread level", "threads", threadObjects(fn, nv), threadObjects(ff, fv)),
+		newLevelRun("process level", "processes", processObjects(fn, nv), processObjects(ff, fv)),
 	}
 	return diffRun(ctx, cfg, rep, table, levels)
 }
@@ -260,10 +262,11 @@ func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet,
 	table.Observe(run)
 	rep := &Report{Cfg: cfg, LoopTable: table}
 
-	// Streaming defers filtering to decode time; the memo caches the
-	// per-function keep decision so replay filtering is O(1) per event.
-	// One memo per registry (a normal/faulty pair shares its registry by
-	// the same contract as TraceSets, but nothing breaks if it doesn't).
+	// Streaming defers filtering to decode time; the memo holds every
+	// function's keep decision so replay filtering is one slice read per
+	// event. One memo per registry (a normal/faulty pair shares its
+	// registry by the same contract as TraceSets, but nothing breaks if it
+	// doesn't).
 	spFilter := run.StartSpan("diffrun/filter")
 	nm := cfg.Filter.Memo(normal.Registry)
 	fm := nm
@@ -272,11 +275,12 @@ func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet,
 	}
 	spFilter.End()
 
+	nv, fv := vocabs(normal.Registry, faulty.Registry)
 	levels := []*levelRun{
 		newLevelRun("thread level", "threads",
-			threadStreamObjects(normal, cfg.Filter, nm), threadStreamObjects(faulty, cfg.Filter, fm)),
+			threadStreamObjects(normal, cfg.Filter, nm, nv), threadStreamObjects(faulty, cfg.Filter, fm, fv)),
 		newLevelRun("process level", "processes",
-			processStreamObjects(normal, cfg.Filter, nm), processStreamObjects(faulty, cfg.Filter, fm)),
+			processStreamObjects(normal, cfg.Filter, nm, nv), processStreamObjects(faulty, cfg.Filter, fm, fv)),
 	}
 	return diffRun(ctx, cfg, rep, table, levels)
 }
@@ -708,7 +712,9 @@ func emptyLevel() *Level {
 type object struct {
 	name string
 	tr   *trace.Trace
-	reg  *trace.Registry
+	// voc resolves the object's events to names and NLR tokens, once per
+	// job and registry.
+	voc *nlr.Vocab
 
 	// Streaming-mode source: the compressed streams (one for a thread
 	// object, the process's threads in thread order for a process object)
@@ -718,12 +724,24 @@ type object struct {
 	km  *filter.Memo
 }
 
+// vocabs resolves the events of a normal/faulty registry pair once per
+// job; a pair sharing its registry shares one Vocab.
+func vocabs(normal, faulty *trace.Registry) (*nlr.Vocab, *nlr.Vocab) {
+	nv := nlr.NewVocab(normal)
+	if faulty == normal {
+		return nv, nv
+	}
+	return nv, nlr.NewVocab(faulty)
+}
+
 // forEachEvent walks the object's filtered events in trace order. The
 // batch path reads the already-filtered materialized trace; the streaming
 // path re-decodes the compressed blocks and applies the identical filter
 // predicate (drop-returns on kind, then the memoized KeepName) per symbol
 // — the same decisions filter.Apply makes, in the same order, which is
-// what makes the two modes' token streams equal event for event.
+// what makes the two modes' event streams equal event for event. Events
+// are yielded as registry function IDs: no name is looked up and no lock
+// taken per event.
 //
 // ctx is observed every few thousand events so multi-million-event streams
 // stay cancellable mid-object. An early bail implies ctx.Err() != nil,
@@ -734,7 +752,7 @@ type object struct {
 // the decoded-event count is flushed once per 8192 events plus once at the
 // end, so a scrape of GET /v1/jobs/{id} sees the tokenizer advance at one
 // atomic add per batch, not per event.
-func (o object) forEachEvent(ctx context.Context, yield func(name string, kind trace.EventKind)) {
+func (o object) forEachEvent(ctx context.Context, yield func(fn uint32, kind trace.EventKind)) {
 	prog := obs.ProgressFrom(ctx)
 	n := 0
 	flushed := 0
@@ -757,7 +775,7 @@ func (o object) forEachEvent(ctx context.Context, yield func(name string, kind t
 			if !alive() {
 				return
 			}
-			yield(o.reg.Name(e.Func), e.Kind)
+			yield(e.Func, e.Kind)
 		}
 		return
 	}
@@ -777,7 +795,7 @@ func (o object) forEachEvent(ctx context.Context, yield func(name string, kind t
 			if !o.km.Keep(fn) {
 				continue
 			}
-			yield(o.reg.Name(fn), kind)
+			yield(fn, kind)
 		}
 	}
 }
@@ -787,40 +805,45 @@ func (o object) forEachEvent(ctx context.Context, yield func(name string, kind t
 // "ret:<name>"), pushed through one code path for both modes so their
 // summaries are equal by construction.
 func (o object) summarize(ctx context.Context, k int, table *nlr.Table) []nlr.Element {
-	s := nlr.NewSummarizer(k, table)
-	o.forEachEvent(ctx, func(name string, kind trace.EventKind) {
-		if kind == trace.Exit {
-			name = "ret:" + name
-		}
-		s.Push(name)
+	s := summarizers.Get().(*nlr.Summarizer)
+	defer summarizers.Put(s)
+	s.Reset(k, table)
+	o.forEachEvent(ctx, func(fn uint32, kind trace.EventKind) {
+		s.PushToken(o.voc.Token(fn, kind))
 	})
 	s.Finalize()
 	return s.Elements()
 }
+
+// summarizers recycles Summarizer buffers across objects and rounds;
+// Elements hands out copies, so nothing returned aliases them.
+var summarizers = sync.Pool{New: func() any { return new(nlr.Summarizer) }}
 
 // extractContext mines caller→callee attributes from the object's raw
 // enter/exit stream; both modes drive the shared attr.ContextStream
 // accumulator (the one attr.ExtractContext wraps).
 func (o object) extractContext(ctx context.Context, f attr.Freq) fca.AttrSet {
 	cs := attr.NewContextStream()
-	o.forEachEvent(ctx, cs.Push)
+	o.forEachEvent(ctx, func(fn uint32, kind trace.EventKind) {
+		cs.Push(o.voc.Name(fn), kind)
+	})
 	return cs.ExtractIn(attr.NewInterner(), f)
 }
 
 // threadObjects names every per-thread trace "p.t".
-func threadObjects(s *trace.TraceSet) []object {
+func threadObjects(s *trace.TraceSet, voc *nlr.Vocab) []object {
 	var out []object
 	for _, id := range s.IDs() {
-		out = append(out, object{name: id.String(), tr: s.Traces[id], reg: s.Registry})
+		out = append(out, object{name: id.String(), tr: s.Traces[id], voc: voc})
 	}
 	return out
 }
 
 // processObjects merges each process's threads into one object named "p".
-func processObjects(s *trace.TraceSet) []object {
+func processObjects(s *trace.TraceSet, voc *nlr.Vocab) []object {
 	var out []object
 	for _, p := range s.Processes() {
-		out = append(out, object{name: strconv.Itoa(p), tr: s.ProcessTrace(p), reg: s.Registry})
+		out = append(out, object{name: strconv.Itoa(p), tr: s.ProcessTrace(p), voc: voc})
 	}
 	return out
 }
@@ -828,11 +851,11 @@ func processObjects(s *trace.TraceSet) []object {
 // threadStreamObjects names every per-thread stream "p.t" (streaming
 // counterpart of threadObjects over a filtered set — the filter rides
 // along and applies at decode time).
-func threadStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo) []object {
+func threadStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo, voc *nlr.Vocab) []object {
 	var out []object
 	for _, id := range ss.IDs() {
 		out = append(out, object{
-			name: id.String(), reg: ss.Registry,
+			name: id.String(), voc: voc,
 			sts: []*parlot.StreamTrace{ss.Get(id)}, flt: flt, km: km,
 		})
 	}
@@ -843,7 +866,7 @@ func threadStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Me
 // order, into one object named "p" — the same concatenation
 // trace.TraceSet.ProcessTrace materializes, expressed as sequential
 // replay.
-func processStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo) []object {
+func processStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo, voc *nlr.Vocab) []object {
 	var out []object
 	for _, p := range ss.Processes() {
 		var sts []*parlot.StreamTrace
@@ -853,7 +876,7 @@ func processStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.M
 			}
 		}
 		out = append(out, object{
-			name: strconv.Itoa(p), reg: ss.Registry,
+			name: strconv.Itoa(p), voc: voc,
 			sts: sts, flt: flt, km: km,
 		})
 	}
@@ -873,7 +896,7 @@ func union(a, b []object) ([]object, []object) {
 	for _, o := range b {
 		names[o.name] = true
 	}
-	fill := func(objs []object, reg *trace.Registry) []object {
+	fill := func(objs []object) []object {
 		have := map[string]bool{}
 		for _, o := range objs {
 			have[o.name] = true
@@ -886,18 +909,11 @@ func union(a, b []object) ([]object, []object) {
 		}
 		sort.Slice(ghosts, func(i, j int) bool { return jaccard.LessNatural(ghosts[i], ghosts[j]) })
 		for _, n := range ghosts {
-			objs = append(objs, object{name: n, tr: &trace.Trace{}, reg: reg})
+			objs = append(objs, object{name: n, tr: &trace.Trace{}})
 		}
 		return objs
 	}
-	var regA, regB *trace.Registry
-	if len(a) > 0 {
-		regA = a[0].reg
-	}
-	if len(b) > 0 {
-		regB = b[0].reg
-	}
-	return fill(a, regA), fill(b, regB)
+	return fill(a), fill(b)
 }
 
 // DiffNLR renders the diffNLR(x) view for an object of the given level

@@ -303,24 +303,29 @@ func isPLT(name string) bool {
 // Apply returns a new trace containing only the surviving events.
 // The input trace is not modified; ID and truncation flag carry over.
 func (f *Filter) Apply(t *trace.Trace, reg *trace.Registry) *trace.Trace {
-	out := &trace.Trace{ID: t.ID, Truncated: t.Truncated}
-	for _, e := range t.Events {
-		if f.DropReturns && e.Kind == trace.Exit {
-			continue
-		}
-		if !f.KeepName(reg.Name(e.Func)) {
-			continue
-		}
-		out.Events = append(out.Events, e)
-	}
-	return out
+	return f.Memo(reg).apply(t)
 }
 
 // ApplySet filters every trace of s, sharing s's registry.
 func (f *Filter) ApplySet(s *trace.TraceSet) *trace.TraceSet {
+	m := f.Memo(s.Registry)
 	out := trace.NewTraceSetWith(s.Registry)
 	for id, t := range s.Traces {
-		out.Traces[id] = f.Apply(t, s.Registry)
+		out.Traces[id] = m.apply(t)
+	}
+	return out
+}
+
+func (m *Memo) apply(t *trace.Trace) *trace.Trace {
+	out := &trace.Trace{ID: t.ID, Truncated: t.Truncated}
+	for _, e := range t.Events {
+		if m.f.DropReturns && e.Kind == trace.Exit {
+			continue
+		}
+		if !m.Keep(e.Func) {
+			continue
+		}
+		out.Events = append(out.Events, e)
 	}
 	return out
 }

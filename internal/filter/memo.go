@@ -1,61 +1,43 @@
 package filter
 
-import (
-	"sync"
+import "difftrace/internal/trace"
 
-	"difftrace/internal/trace"
-)
-
-// Memo caches a filter's per-function keep decision by registry function
-// ID. The streaming pipeline filters each decoded symbol on the fly — and
-// re-filters on every summarization round, since streams are re-decoded
-// instead of kept expanded — so the regexp-backed KeepName would otherwise
-// run once per event instead of once per distinct function. Decisions are
-// a pure function of the interned name, so memoization cannot change
-// results; the determinism suite compares against the unmemoized batch
-// path to prove it.
+// Memo holds a filter's keep decision for every function of a registry,
+// indexed by function ID. The streaming pipeline filters each decoded
+// symbol on the fly — and re-filters on every summarization round, since
+// streams are re-decoded instead of kept expanded — so the regexp-backed
+// KeepName would otherwise run once per event instead of once per distinct
+// function. Decisions are a pure function of the interned name, so the
+// table cannot change results (TestMemoMatchesKeepName checks it against
+// KeepName); Apply and ApplySet filter through a Memo too.
 //
-// A Memo is safe for concurrent use (thread objects of one run are
-// filtered by parallel workers sharing one Memo).
+// The table is filled when the Memo is made and never written again, so
+// Keep takes no lock and many workers can share one Memo.
 type Memo struct {
-	f   *Filter
-	reg *trace.Registry
-
-	mu  sync.RWMutex
-	dec []uint8 // indexed by function ID: 0 undecided, 1 keep, 2 drop
+	f    *Filter
+	reg  *trace.Registry
+	keep []bool // indexed by function ID
 }
 
-// Memo returns a keep-decision cache for f over reg. The drop-returns flag
-// is not part of the decision (it acts on event kind, not name); streaming
-// callers apply it before consulting the Memo, mirroring Apply.
+// Memo returns the keep decisions of f over every function reg holds now.
+// The drop-returns flag is not part of the decision (it acts on event
+// kind, not name); streaming callers apply it before consulting the Memo,
+// mirroring Apply.
 func (f *Filter) Memo(reg *trace.Registry) *Memo {
-	return &Memo{f: f, reg: reg}
+	names := reg.Names()
+	m := &Memo{f: f, reg: reg, keep: make([]bool, len(names))}
+	for fn, name := range names {
+		m.keep[fn] = f.KeepName(name)
+	}
+	return m
 }
 
 // Keep reports whether events of function fn survive the keep-categories,
-// equal to f.KeepName(reg.Name(fn)) by construction.
+// equal to f.KeepName(reg.Name(fn)) by construction. A function interned
+// after the Memo was made is decided by name on every call.
 func (m *Memo) Keep(fn uint32) bool {
-	m.mu.RLock()
-	if int(fn) < len(m.dec) {
-		if d := m.dec[fn]; d != 0 {
-			m.mu.RUnlock()
-			return d == 1
-		}
+	if int(fn) < len(m.keep) {
+		return m.keep[fn]
 	}
-	m.mu.RUnlock()
-
-	keep := m.f.KeepName(m.reg.Name(fn))
-	d := uint8(2)
-	if keep {
-		d = 1
-	}
-	m.mu.Lock()
-	if int(fn) >= len(m.dec) {
-		grown := make([]uint8, int(fn)+1)
-		copy(grown, m.dec)
-		m.dec = grown
-	}
-	m.dec[fn] = d
-	m.mu.Unlock()
-	return keep
+	return m.f.KeepName(m.reg.Name(fn))
 }

@@ -43,3 +43,18 @@ func TestMemoMatchesKeepName(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// A function interned after the Memo was made is decided by name, exactly
+// as KeepName decides it.
+func TestMemoLateFunction(t *testing.T) {
+	reg := trace.NewRegistry()
+	reg.ID("MPI_Send")
+	f := New(MPIAll)
+	m := f.Memo(reg)
+	for _, name := range []string{"MPI_Recv", "compute"} {
+		fn := reg.ID(name)
+		if got, want := m.Keep(fn), f.KeepName(name); got != want {
+			t.Errorf("Keep(%q) interned late = %v, want %v", name, got, want)
+		}
+	}
+}

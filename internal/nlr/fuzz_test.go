@@ -29,53 +29,3 @@ func FuzzSummarizeLossless(f *testing.F) {
 		}
 	})
 }
-
-// FuzzStreamSummarize: streaming NLR over a pulled token stream matches
-// Summarize on the materialized expansion — same summarized sequence and
-// the same loop table, at every window constant. This is the equivalence
-// the streaming analysis path (core.Config.Streaming) rests on.
-func FuzzStreamSummarize(f *testing.F) {
-	f.Add([]byte("abcabcabc"), uint8(10))
-	f.Add([]byte(""), uint8(1))
-	f.Add([]byte("aaaaaaaaaaaaaaaa"), uint8(3))
-	f.Add([]byte("ababababcdcdcdcdabab"), uint8(2))
-	f.Add([]byte("aabbaabbaabbccddccdd"), uint8(6))
-	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
-		toks := make([]string, len(data))
-		for i, b := range data {
-			toks[i] = string(rune('a' + int(b)%5))
-		}
-		K := int(k)%20 + 1
-
-		batchTable := NewTable()
-		want := Summarize(toks, K, batchTable)
-
-		streamTable := NewTable()
-		i := 0
-		got := SummarizeStream(func() (string, bool) {
-			if i >= len(toks) {
-				return "", false
-			}
-			i++
-			return toks[i-1], true
-		}, K, streamTable)
-
-		wantToks, gotToks := Tokens(want), Tokens(got)
-		if len(gotToks) != len(wantToks) {
-			t.Fatalf("element count: stream %d != batch %d", len(gotToks), len(wantToks))
-		}
-		for j := range gotToks {
-			if gotToks[j] != wantToks[j] {
-				t.Fatalf("element %d: stream %q != batch %q", j, gotToks[j], wantToks[j])
-			}
-		}
-		if streamTable.Len() != batchTable.Len() {
-			t.Fatalf("table size: stream %d != batch %d", streamTable.Len(), batchTable.Len())
-		}
-		for id := 0; id < batchTable.Len(); id++ {
-			if s, b := streamTable.Describe(id), batchTable.Describe(id); s != b {
-				t.Fatalf("L%d body: stream %s != batch %s", id, s, b)
-			}
-		}
-	})
-}

@@ -17,11 +17,18 @@
 // the same name — the property Tables III/IV and the FCA stage rely on.
 //
 // Complexity is Θ(K²·N) for a trace of N entries, as stated in the paper.
+// That remains the worst case, but Reduce visits only candidate windows:
+// every stack element carries an integer key (its token, or its loop's ID
+// and count), cheap checks on the top key pick the fold widths, and an
+// index of loops by the stack height their next iteration would end at
+// picks the loops that could extend. The typical cost is O(K) integer
+// compares per push.
 package nlr
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 
 	"difftrace/internal/obs"
@@ -55,32 +62,19 @@ func (e Element) Token() string {
 	if e.Loop == nil {
 		return e.Sym
 	}
-	return fmt.Sprintf("L%d^%d", e.Loop.ID, e.Loop.Count)
+	var buf [24]byte
+	return string(e.appendToken(buf[:0]))
 }
 
-// iso reports structural isomorphism between two elements. Loops are
-// isomorphic when they repeat the same interned body the same number of
-// times; the Table guarantees body equality ⇔ ID equality.
-func iso(a, b Element) bool {
-	if (a.Loop == nil) != (b.Loop == nil) {
-		return false
+// appendToken appends e's token to buf.
+func (e Element) appendToken(buf []byte) []byte {
+	if e.Loop == nil {
+		return append(buf, e.Sym...)
 	}
-	if a.Loop == nil {
-		return a.Sym == b.Sym
-	}
-	return a.Loop.ID == b.Loop.ID && a.Loop.Count == b.Loop.Count
-}
-
-func isoSlice(a, b []Element) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !iso(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+	buf = append(buf, 'L')
+	buf = strconv.AppendInt(buf, int64(e.Loop.ID), 10)
+	buf = append(buf, '^')
+	return strconv.AppendInt(buf, int64(e.Loop.Count), 10)
 }
 
 // Table interns loop bodies and assigns stable IDs in discovery order.
@@ -138,15 +132,21 @@ func NewOverlay(base *Table) *Table {
 	}
 }
 
-// bodySig canonically renders a body. Nested loops already carry IDs
-// (loops are interned bottom-up), so the signature is just the token join.
-func bodySig(body []Element) string {
-	toks := make([]string, len(body))
+// appendTokens appends body's tokens to buf, separated by sep.
+func appendTokens(buf []byte, body []Element, sep byte) []byte {
 	for i, e := range body {
-		toks[i] = e.Token()
+		if i > 0 {
+			buf = append(buf, sep)
+		}
+		buf = e.appendToken(buf)
 	}
-	return strings.Join(toks, "\x00")
+	return buf
 }
+
+// appendSig appends body's canonical signature to buf. Nested loops already
+// carry IDs (loops are interned bottom-up), so the signature is just the
+// tokens joined by NUL.
+func appendSig(buf []byte, body []Element) []byte { return appendTokens(buf, body, 0) }
 
 // hasLocalRef reports whether body references any overlay-local loop ID
 // (>= horizon). Such a body cannot exist in the frozen base — base bodies
@@ -162,7 +162,12 @@ func (t *Table) hasLocalRef(body []Element) bool {
 
 // Intern returns the ID for body, assigning the next free ID on first sight.
 func (t *Table) Intern(body []Element) int {
-	sig := bodySig(body)
+	return t.intern(appendSig(nil, body), body)
+}
+
+// intern is Intern with body's signature already built; it allocates only
+// when body is new.
+func (t *Table) intern(sig []byte, body []Element) int {
 	if t.base != nil && !t.hasLocalRef(body) {
 		if id, ok := t.base.lookup(sig); ok {
 			t.obsHit.Add(1)
@@ -171,13 +176,13 @@ func (t *Table) Intern(body []Element) int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.ids[sig]; ok {
+	if id, ok := t.ids[string(sig)]; ok {
 		t.obsHit.Add(1)
 		return id
 	}
 	t.obsMiss.Add(1)
 	id := t.horizon + len(t.bodies)
-	t.ids[sig] = id
+	t.ids[string(sig)] = id
 	cp := make([]Element, len(body))
 	copy(cp, body)
 	t.bodies = append(t.bodies, cp)
@@ -185,10 +190,10 @@ func (t *Table) Intern(body []Element) int {
 }
 
 // lookup reports the ID for an already-interned signature.
-func (t *Table) lookup(sig string) (int, bool) {
+func (t *Table) lookup(sig []byte) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id, ok := t.ids[sig]
+	id, ok := t.ids[string(sig)]
 	return id, ok
 }
 
@@ -197,7 +202,11 @@ func (t *Table) lookup(sig string) (int, bool) {
 // a body already discovered elsewhere folds after only two repetitions
 // (Table III's T0/T3 loop just twice yet are summarized as L^2).
 func (t *Table) Has(body []Element) bool {
-	sig := bodySig(body)
+	return t.has(appendSig(nil, body), body)
+}
+
+// has is Has with body's signature already built.
+func (t *Table) has(sig []byte, body []Element) bool {
 	if t.base != nil && !t.hasLocalRef(body) {
 		if _, ok := t.base.lookup(sig); ok {
 			return true
@@ -293,40 +302,159 @@ func (t *Table) Describe(id int) string {
 	if body == nil {
 		return fmt.Sprintf("L%d=?", id)
 	}
-	toks := make([]string, len(body))
-	for i, e := range body {
-		toks[i] = e.Token()
-	}
-	return "[" + strings.Join(toks, " ") + "]"
+	return string(append(appendTokens([]byte{'['}, body, ' '), ']'))
 }
 
-// Summarizer runs the online Reduce procedure over one token stream.
+// key is a stack element's identity under isomorphism: a symbol's token,
+// or a loop's ID and count. Tokens are injective on names and the Table
+// guarantees body equality ⇔ ID equality, so two elements are isomorphic
+// exactly when their keys are equal, and Reduce compares integers only.
+type key struct {
+	id int // symbol token (>= 0), or ^loop ID (< 0)
+	n  int // loop count; 0 for a symbol
+}
+
+func equalKeys(a, b []key) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// slot is the summarizer's state for one stack element: a symbol, or a
+// loop kept unboxed — its body here, its ID and count in its key — until
+// it leaves the stack inside a body or through Elements. Extending a loop
+// therefore only bumps its key's count.
+type slot struct {
+	sym  string
+	loop *folded // the loop's body; nil for a symbol
+	// next chains the loops that could extend at the same stack height
+	// (see Summarizer.reach), topmost first; -1 ends the chain.
+	next int
+}
+
+// folded is a loop body as this summarizer interned it: its table ID, its
+// elements and their keys. Every later fold of the same keys reuses it.
+type folded struct {
+	id   int
+	body []Element
+	keys []key
+}
+
+// Candidate rules, in the order Procedure 1 tries them at one depth i.
+const (
+	ruleFold   = iota // the top three i/3-long groups are isomorphic
+	ruleKnown         // the top two i/2-long groups repeat a known body
+	ruleExtend        // the loop at depth i matches the top i-1 elements
+)
+
+// Summarizer runs the online Reduce procedure over one token stream. K and
+// Table must not change after the first push; Reset starts a new stream.
 type Summarizer struct {
 	K     int
 	Table *Table
-	stack []Element
+
+	slots []slot
+	keys  []key // keys[j] identifies slots[j]; dense for the scans
+	// reach[h] is the topmost loop that could extend when the stack holds
+	// h elements: the loop at slot p whose body has h-p-1 elements. Others
+	// with the same reach follow through slot.next.
+	reach  []int
+	byKeys map[uint64]*folded // bodies folded so far, by hash of their keys
+	cands  []int              // reduceOnce scratch: depth<<2 | rule
+	syms   map[string]int     // Push's token assignment
+	probe  []Element          // known-body probe scratch
+	sig    []byte             // table signature scratch
 }
 
 // NewSummarizer returns a Summarizer with window constant k (DefaultK if
 // k <= 0) interning loop bodies into table (a fresh one if nil).
 func NewSummarizer(k int, table *Table) *Summarizer {
+	s := new(Summarizer)
+	s.Reset(k, table)
+	return s
+}
+
+// Reset readies s for a new stream, exactly as NewSummarizer(k, table)
+// would, but keeping the buffers it has grown.
+func (s *Summarizer) Reset(k int, table *Table) {
 	if k <= 0 {
 		k = DefaultK
 	}
 	if table == nil {
 		table = NewTable()
 	}
-	return &Summarizer{K: k, Table: table}
+	clear(s.slots[:cap(s.slots)])
+	clear(s.byKeys)
+	clear(s.syms)
+	*s = Summarizer{
+		K: k, Table: table,
+		slots: s.slots[:0], keys: s.keys[:0], reach: s.reach[:0],
+		byKeys: s.byKeys, syms: s.syms, cands: s.cands, sig: s.sig,
+	}
 }
 
-// Push feeds the next trace entry and reduces.
+// Push feeds the next trace entry and reduces. Push assigns tokens itself,
+// by name; feed one Summarizer through Push or through PushToken, not both.
 func (s *Summarizer) Push(sym string) {
-	s.push(Element{Sym: sym}, false)
+	tok, ok := s.syms[sym]
+	if !ok {
+		if s.syms == nil {
+			s.syms = make(map[string]int)
+		}
+		tok = len(s.syms)
+		s.syms[sym] = tok
+	}
+	s.PushToken(uint32(tok), sym)
 }
 
-func (s *Summarizer) push(e Element, allowKnownFold bool) {
-	s.stack = append(s.stack, e)
-	s.reduce(allowKnownFold)
+// PushToken feeds the next trace entry as a caller-assigned token with its
+// name, and reduces. Equal tokens must carry equal names and distinct
+// tokens distinct names, as Vocab's do; the name only labels the element
+// and its loop bodies, and isomorphism is decided on tokens alone.
+func (s *Summarizer) PushToken(tok uint32, sym string) {
+	s.push(slot{sym: sym}, key{id: int(tok)})
+	s.reduce(false)
+}
+
+// push appends one element to the stack, indexing a loop by its reach.
+func (s *Summarizer) push(sl slot, k key) {
+	sl.next = -1
+	if sl.loop != nil {
+		p := len(s.slots)
+		h := p + 1 + len(sl.loop.keys)
+		for len(s.reach) <= h {
+			s.reach = append(s.reach, -1)
+		}
+		sl.next, s.reach[h] = s.reach[h], p
+	}
+	s.slots = append(s.slots, sl)
+	s.keys = append(s.keys, k)
+}
+
+// truncate cuts the stack to m elements. The loops cut are the topmost of
+// their reach chains, so unlinking each is popping a chain head.
+func (s *Summarizer) truncate(m int) {
+	for p := len(s.slots) - 1; p >= m; p-- {
+		if l := s.slots[p].loop; l != nil {
+			s.reach[p+1+len(l.keys)] = s.slots[p].next
+		}
+	}
+	s.slots, s.keys = s.slots[:m], s.keys[:m]
+}
+
+// element boxes slot p as an Element.
+func (s *Summarizer) element(p int) Element {
+	sl := s.slots[p]
+	if sl.loop == nil {
+		return Element{Sym: sl.sym}
+	}
+	return Element{Loop: &Loop{Body: sl.loop.body, Count: s.keys[p].n, ID: sl.loop.id}}
 }
 
 // reduce is Procedure 1, iterated to fixpoint. For i = 1..3K with b = i/3
@@ -335,55 +463,73 @@ func (s *Summarizer) push(e Element, allowKnownFold bool) {
 // allowKnownFold is set (finalization only — see Finalize), an additional
 // rule folds two adjacent repetitions of a body already in the loop table.
 func (s *Summarizer) reduce(allowKnownFold bool) {
-	for {
-		if !s.reduceOnce(allowKnownFold) {
-			return
-		}
+	for s.reduceOnce(allowKnownFold) {
 	}
 }
 
+// reduceOnce applies the first rule that fires, in the (i, rule) order of
+// the paper's i = 1..3K scan, but runs the full comparison only for
+// candidates that pass a cheap necessary check:
+//
+//   - every group of a fold (Rule 1) or known-body fold (Rule 1b) of width
+//     b ends in the top key, so b is a candidate only if the key b (and
+//     2b) below the top equals it;
+//   - an extension (Rule 2) at depth i needs a loop there whose body has
+//     i-1 elements, which the reach index lists directly, and the body's
+//     last key must match the top.
 func (s *Summarizer) reduceOnce(allowKnownFold bool) bool {
-	n := len(s.stack)
-	for i := 1; i <= 3*s.K; i++ {
-		b := i / 3
-		// Rule 1: fold — top 3 groups of b elements each are isomorphic.
-		if b >= 1 && i == 3*b && n >= 3*b {
-			g2 := s.stack[n-b:]
-			g1 := s.stack[n-2*b : n-b]
-			g0 := s.stack[n-3*b : n-2*b]
-			if isoSlice(g0, g1) && isoSlice(g1, g2) {
-				body := make([]Element, b)
-				copy(body, g2)
-				id := s.Table.Intern(body)
-				s.stack = s.stack[:n-3*b]
-				s.stack = append(s.stack, Element{Loop: &Loop{Body: body, Count: 3, ID: id}})
-				return true
+	keys := s.keys
+	n := len(keys)
+	top := keys[n-1]
+	cands := s.cands[:0]
+	for b := 1; b <= s.K && 2*b <= n; b++ {
+		if keys[n-1-b] != top {
+			continue
+		}
+		if allowKnownFold {
+			cands = append(cands, 2*b<<2|ruleKnown)
+		}
+		if 3*b <= n && keys[n-1-2*b] == top {
+			cands = append(cands, 3*b<<2|ruleFold)
+		}
+	}
+	if n < len(s.reach) {
+		// Bodies are at most K long, so every listed loop lies within the
+		// 3K window.
+		for p := s.reach[n]; p >= 0; p = s.slots[p].next {
+			if s.slots[p].loop.keys[n-p-2] == top {
+				cands = append(cands, (n-p)<<2|ruleExtend)
 			}
 		}
-		// Rule 1b: known-body fold — the top 2 groups of b2 elements are
-		// isomorphic and the body is already in the loop table (§III-A's
-		// cross-trace heuristic): fold with count 2. Restricted to the
-		// finalization pass: firing online would mis-parse phase-shifted
-		// loops ((S R)^4 would fold as S (R S)^3 R if [R S] is known).
-		if b2 := i / 2; allowKnownFold && b2 >= 1 && i == 2*b2 && b2 <= s.K && n >= 2*b2 {
-			g1 := s.stack[n-b2:]
-			g0 := s.stack[n-2*b2 : n-b2]
-			if isoSlice(g0, g1) && s.Table.Has(g1) {
-				body := make([]Element, b2)
-				copy(body, g1)
-				id := s.Table.Intern(body)
-				s.stack = s.stack[:n-2*b2]
-				s.stack = append(s.stack, Element{Loop: &Loop{Body: body, Count: 2, ID: id}})
+	}
+	if cap(cands) != cap(s.cands) {
+		s.cands = cands
+	}
+	for j := 1; j < len(cands); j++ {
+		for i := j; i > 0 && cands[i] < cands[i-1]; i-- {
+			cands[i], cands[i-1] = cands[i-1], cands[i]
+		}
+	}
+	for _, c := range cands {
+		i := c >> 2
+		switch c & 3 {
+		case ruleFold:
+			b := i / 3
+			if equalKeys(keys[n-3*b:n-2*b], keys[n-2*b:n-b]) && equalKeys(keys[n-2*b:n-b], keys[n-b:]) {
+				s.fold(b, 3)
 				return true
 			}
-		}
-		// Rule 2: extend — S[i] is a loop whose body matches the top i-1
-		// elements (body length i-1).
-		if i >= 2 && n >= i {
-			el := &s.stack[n-i]
-			if el.Loop != nil && len(el.Loop.Body) == i-1 && isoSlice(el.Loop.Body, s.stack[n-i+1:]) {
-				el.Loop = &Loop{Body: el.Loop.Body, Count: el.Loop.Count + 1, ID: el.Loop.ID}
-				s.stack = s.stack[:n-i+1]
+		case ruleKnown:
+			b := i / 2
+			if equalKeys(keys[n-2*b:n-b], keys[n-b:]) && s.known(n-b) {
+				s.fold(b, 2)
+				return true
+			}
+		case ruleExtend:
+			p := n - i
+			if equalKeys(s.slots[p].loop.keys, keys[p+1:]) {
+				s.keys[p].n++
+				s.truncate(p + 1)
 				return true
 			}
 		}
@@ -391,27 +537,91 @@ func (s *Summarizer) reduceOnce(allowKnownFold bool) bool {
 	return false
 }
 
+// fold replaces the top count·b elements, count repetitions of a b-long
+// body, with one loop element.
+func (s *Summarizer) fold(b, count int) {
+	n := len(s.slots)
+	f := s.intern(n - b)
+	s.truncate(n - count*b)
+	s.push(slot{loop: f}, key{id: ^f.id, n: count})
+}
+
+// intern returns the body formed by the elements from slot j to the top.
+// A body folded before comes back from the summarizer's own cache — equal
+// keys mean isomorphic elements, hence the same table ID — and is counted
+// as the table hit it stands for; a new one is interned in the table.
+func (s *Summarizer) intern(j int) *folded {
+	ks := s.keys[j:]
+	h := uint64(14695981039346656037) // FNV-1a over the keys
+	for _, k := range ks {
+		h = (h ^ uint64(k.id)) * 1099511628211
+		h = (h ^ uint64(k.n)) * 1099511628211
+	}
+	cached := s.byKeys[h]
+	if cached != nil && equalKeys(cached.keys, ks) {
+		s.Table.obsHit.Add(1)
+		return cached
+	}
+	f := &folded{body: make([]Element, len(ks)), keys: slices.Clone(ks)}
+	for x := range f.body {
+		f.body[x] = s.element(j + x)
+	}
+	s.sig = appendSig(s.sig[:0], f.body)
+	f.id = s.Table.intern(s.sig, f.body)
+	if cached == nil { // on a hash collision the first body keeps the slot
+		if s.byKeys == nil {
+			s.byKeys = make(map[uint64]*folded)
+		}
+		s.byKeys[h] = f
+	}
+	return f
+}
+
+// known reports whether the elements from slot j to the top form a body
+// already in the loop table.
+func (s *Summarizer) known(j int) bool {
+	s.probe = s.probe[:0]
+	for x := j; x < len(s.slots); x++ {
+		s.probe = append(s.probe, s.element(x))
+	}
+	s.sig = appendSig(s.sig[:0], s.probe)
+	return s.Table.has(s.sig, s.probe)
+}
+
 // Finalize runs the end-of-trace cleanup: the summarized sequence is
 // re-reduced with the known-body heuristic enabled, folding two-repetition
 // occurrences of loop bodies discovered elsewhere (or earlier in this
 // trace). Called once after the last Push; Summarize does it automatically.
+//
+// The re-reduced stack reuses the old one's storage: after j old elements
+// it holds at most j, so it never overwrites an element not yet re-pushed.
 func (s *Summarizer) Finalize() {
-	old := s.stack
-	s.stack = make([]Element, 0, len(old))
-	for _, e := range old {
-		s.push(e, true)
+	n := len(s.slots)
+	s.truncate(0)
+	for j := 0; j < n; j++ {
+		s.push(s.slots[:n][j], s.keys[:n][j])
+		s.reduce(true)
 	}
 }
 
-// Elements returns the current summarized sequence (a copy).
+// Elements returns the current summarized sequence. The loops in it are
+// fresh copies, so later pushes never change it.
 func (s *Summarizer) Elements() []Element {
-	out := make([]Element, len(s.stack))
-	copy(out, s.stack)
+	out := make([]Element, len(s.slots))
+	for j := range s.slots {
+		out[j] = s.element(j)
+	}
 	return out
 }
 
 // Tokens renders the current sequence as NLR tokens (Table III style).
-func (s *Summarizer) Tokens() []string { return Tokens(s.stack) }
+func (s *Summarizer) Tokens() []string {
+	out := make([]string, len(s.slots))
+	for j := range s.slots {
+		out[j] = s.element(j).Token()
+	}
+	return out
+}
 
 // Tokens renders a summarized element sequence as tokens.
 func Tokens(elems []Element) []string {
@@ -480,13 +690,13 @@ func Summarize(tokens []string, k int, table *Table) []Element {
 // be filtered already; any remaining exits are rendered as "ret:<name>"
 // tokens so the abstraction stays lossless).
 func SummarizeTrace(tr *trace.Trace, reg *trace.Registry, k int, table *Table) []Element {
+	return summarizeTrace(tr, NewVocab(reg), k, table)
+}
+
+func summarizeTrace(tr *trace.Trace, v *Vocab, k int, table *Table) []Element {
 	s := NewSummarizer(k, table)
 	for _, e := range tr.Events {
-		name := reg.Name(e.Func)
-		if e.Kind == trace.Exit {
-			name = "ret:" + name
-		}
-		s.Push(name)
+		s.PushToken(v.Token(e.Func, e.Kind))
 	}
 	s.Finalize()
 	return s.Elements()
@@ -502,12 +712,13 @@ func SummarizeSet(set *trace.TraceSet, k int, table *Table) map[trace.ThreadID][
 	if table == nil {
 		table = NewTable()
 	}
+	v := NewVocab(set.Registry)
 	for _, id := range set.IDs() {
-		SummarizeTrace(set.Traces[id], set.Registry, k, table)
+		summarizeTrace(set.Traces[id], v, k, table)
 	}
 	out := make(map[trace.ThreadID][]Element, len(set.Traces))
 	for _, id := range set.IDs() {
-		out[id] = SummarizeTrace(set.Traces[id], set.Registry, k, table)
+		out[id] = summarizeTrace(set.Traces[id], v, k, table)
 	}
 	return out
 }

@@ -98,9 +98,9 @@ func TestAbsorbCanonicalOrder(t *testing.T) {
 	// (and one shared) bodies.
 	o1 := NewOverlay(base)
 	o2 := NewOverlay(base)
-	bID := o1.Intern(syms("B"))       // local 1 in o1
-	cID := o2.Intern(syms("C"))       // local 1 in o2
-	bID2 := o2.Intern(syms("B"))      // local 2 in o2 — same body as o1's
+	bID := o1.Intern(syms("B"))                  // local 1 in o1
+	cID := o2.Intern(syms("C"))                  // local 1 in o2
+	bID2 := o2.Intern(syms("B"))                 // local 2 in o2 — same body as o1's
 	nested := loopElem(o2, 4, Element{Sym: "D"}) // local 3 in o2
 	outerBody := []Element{{Sym: "E"}, nested}
 	outerID := o2.Intern(outerBody) // local 4 in o2, references local 3
@@ -235,7 +235,7 @@ func TestConcurrentOverlays(t *testing.T) {
 	// No duplicate signatures in the merged table.
 	seen := map[string]int{}
 	for id := 0; id < base.Len(); id++ {
-		sig := bodySig(base.Body(id))
+		sig := string(appendSig(nil, base.Body(id)))
 		if prev, dup := seen[sig]; dup {
 			t.Fatalf("duplicate body: id %d and %d both %q", prev, id, sig)
 		}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Order is the FCM context length (number of preceding symbols hashed to
@@ -154,6 +155,24 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.ByteReader) *Decoder { return &Decoder{r: r} }
+
+// Reset makes d decode a new stream from r, exactly as a fresh
+// NewDecoder(r) would, reusing its predictor table.
+func (d *Decoder) Reset(r io.ByteReader) {
+	d.r = r
+	d.p = predictor{}
+	d.pending = 0
+}
+
+// decoders recycles Decoders between replays and reads: each carries a
+// 256 KiB predictor table, reset (not reallocated) per compressed block.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// putDecoder returns d to the pool; the caller must not use it again.
+func putDecoder(d *Decoder) {
+	d.r = nil
+	decoders.Put(d)
+}
 
 // Decode returns the next symbol, or io.EOF at clean end of stream.
 func (d *Decoder) Decode() (uint32, error) {

@@ -240,11 +240,11 @@ func (s setSink) kept(id trace.ThreadID) (int, bool) {
 
 type setRecord struct{ tr *trace.Trace }
 
-func (r setRecord) len() int                              { return r.tr.Len() }
-func (r setRecord) keep(fn uint32, kind trace.EventKind)  { r.tr.Append(fn, kind) }
-func (r setRecord) setTruncated(v bool)                   { r.tr.Truncated = v }
-func (r setRecord) mark()                                 { r.tr.Truncated = true }
-func (r setRecord) block([]byte)                          {}
+func (r setRecord) len() int                             { return r.tr.Len() }
+func (r setRecord) keep(fn uint32, kind trace.EventKind) { r.tr.Append(fn, kind) }
+func (r setRecord) setTruncated(v bool)                  { r.tr.Truncated = v }
+func (r setRecord) mark()                                { r.tr.Truncated = true }
+func (r setRecord) block([]byte)                         {}
 
 // readBinary walks one PLOT1 stream, decoding incrementally (one symbol at
 // a time — the expanded trace is never materialized here; what the sink
@@ -304,6 +304,10 @@ func readBinary(ctx context.Context, r io.Reader, reg *trace.Registry, opts trac
 	if numTraces > 1<<20 {
 		return false, fail("?", resilience.CorruptStream, fmt.Errorf("parlot: implausible trace count %d", numTraces))
 	}
+	// One pooled decoder, reset per record, decodes every record.
+	var blk sliceByteReader
+	dec := decoders.Get().(*Decoder)
+	defer putDecoder(dec)
 	for t := uint64(0); t < numTraces && !failed; t++ {
 		recID := fmt.Sprintf("#%d", t) // until the header names the trace
 		if ctx != nil {
@@ -357,7 +361,8 @@ func readBinary(ctx context.Context, r io.Reader, reg *trace.Registry, opts trac
 		// a strict decompress failure reports no kept events for the record
 		// (matching the historical decode-then-append reader, which failed
 		// before appending anything).
-		dec := NewDecoder(&sliceByteReader{b: comp})
+		blk = sliceByteReader{b: comp}
+		dec.Reset(&blk)
 		kept := 0
 		var decErr error
 		for si := 0; ; si++ {

@@ -129,10 +129,14 @@ func (st *StreamTrace) Reader() *SymbolReader { return &SymbolReader{st: st} }
 
 // SymbolReader decodes a StreamTrace one event at a time, reproducing
 // exactly the event sequence the materializing reader would have kept.
+// One pooled Decoder, reset per block, serves the whole replay and goes
+// back to the pool when the stream ends.
 type SymbolReader struct {
 	st      *StreamTrace
 	block   int
 	dec     *Decoder
+	br      sliceByteReader
+	inBlock bool // dec is positioned inside blocks[block-1]
 	emitted int
 }
 
@@ -145,18 +149,23 @@ func (r *SymbolReader) Next() (fn uint32, kind trace.EventKind, ok bool) {
 	}
 	names := r.st.set.names
 	for r.emitted < r.st.events {
-		if r.dec == nil {
+		if !r.inBlock {
 			if r.block >= len(r.st.blocks) {
-				return 0, 0, false
+				break
 			}
-			r.dec = NewDecoder(&sliceByteReader{b: r.st.blocks[r.block]})
+			if r.dec == nil {
+				r.dec = decoders.Get().(*Decoder)
+			}
+			r.br = sliceByteReader{b: r.st.blocks[r.block]}
+			r.dec.Reset(&r.br)
 			r.block++
+			r.inBlock = true
 		}
 		s, err := r.dec.Decode()
 		if err != nil {
 			// io.EOF or the corrupt/truncated tail ingest already salvaged
 			// past: move to the next block.
-			r.dec = nil
+			r.inBlock = false
 			continue
 		}
 		fileID := s >> 1
@@ -166,6 +175,10 @@ func (r *SymbolReader) Next() (fn uint32, kind trace.EventKind, ok bool) {
 		}
 		r.emitted++
 		return names[fileID], trace.EventKind(s & 1), true
+	}
+	if r.dec != nil {
+		putDecoder(r.dec)
+		r.dec, r.inBlock = nil, false
 	}
 	return 0, 0, false
 }
