@@ -1,8 +1,9 @@
-// Streaming-vs-batch benchmark: same PLOT1 bytes, same report, two memory
-// stories. `make bench-streaming` regenerates the BENCH_streaming.json
-// baseline; the headline numbers are the peak-heap-MiB gap between
-// mode=batch (which materializes the expansion) and mode=stream (which
-// re-decodes per round) and the wall-time cost streaming pays for it.
+// Source benchmark: the same PLOT1 bytes diffed through DiffRun as a
+// materialized TraceSet (mode=batch) and as a compressed StreamSet
+// (mode=stream, re-decoded every summarization round). Same report, two
+// memory stories. `make bench-streaming` regenerates the
+// BENCH_streaming.json baseline; the headline numbers are the
+// peak-heap-MiB gap between the two sources and their wall times.
 package difftrace_test
 
 import (
@@ -20,7 +21,7 @@ import (
 	"difftrace/internal/trace"
 )
 
-// streamBenchConfig is the shared analysis configuration of both modes.
+// streamBenchConfig is the shared analysis configuration of both sources.
 func streamBenchConfig() core.Config {
 	return core.Config{
 		Filter: filter.Everything(), Attr: attr.Config{Kind: attr.Single, Freq: attr.Actual},
@@ -29,9 +30,10 @@ func streamBenchConfig() core.Config {
 }
 
 // BenchmarkStreaming_DiffRun runs the full diff over a loopy 8M-event pair
-// in both modes, reporting the sampled peak heap (over a post-GC baseline)
-// alongside the usual time/allocs. The reports are byte-identical — the
-// differential suite proves that; this benchmark prices the two paths.
+// from both sources, reporting the sampled peak heap (over a post-GC
+// baseline) alongside the usual time/allocs. The reports are
+// byte-identical — the differential suite proves that; this benchmark
+// prices the two sources.
 func BenchmarkStreaming_DiffRun(b *testing.B) {
 	const threads, eventsPerThread = 4, 1_000_000
 	normalBlob := genStreamPlot(b, threads, eventsPerThread, 0)
@@ -80,7 +82,7 @@ func BenchmarkStreaming_DiffRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.DiffRunStream(normal, faulty, streamBenchConfig()); err != nil {
+			if _, err := core.DiffRun(normal, faulty, streamBenchConfig()); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -603,30 +603,24 @@ func BenchmarkAblation_STATvsDiffTrace(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ParallelSweep measures the sequential vs parallel
-// ranking sweep (paper future-work item 1).
+// BenchmarkAblation_ParallelSweep measures the ranking sweep with one
+// worker per run vs four (paper future-work item 1).
 func BenchmarkAblation_ParallelSweep(b *testing.B) {
 	pair := oddEvenSets(b)
-	req := rank.Request{
-		Specs:   []string{"11.mpiall.0K10", "11.mpisr.0K10"},
-		Linkage: cluster.Ward,
+	for _, w := range []int{1, 4} {
+		req := rank.Request{
+			Specs:   []string{"11.mpiall.0K10", "11.mpisr.0K10"},
+			Linkage: cluster.Ward,
+			Workers: w,
+		}
+		b.Run(benchName("workers", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rank.Sweep(pair.normal, pair.faulty, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rank.Sweep(pair.normal, pair.faulty, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel-4", func(b *testing.B) {
-		preq := req
-		preq.Parallel = 4
-		for i := 0; i < b.N; i++ {
-			if _, err := rank.Sweep(pair.normal, pair.faulty, preq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkOTFClockOverhead measures the logical-clock recording cost on a

@@ -7,38 +7,6 @@ import (
 	"testing"
 )
 
-// TestStreamRefusalMessages pins the -stream conflict errors: each must
-// name the refused flag and point the user at the batch path.
-func TestStreamRefusalMessages(t *testing.T) {
-	normal, faulty := writeBinaryPair(t)
-	cases := []struct {
-		name string
-		opt  func(*options)
-		want string
-	}{
-		{"sweep", func(o *options) { o.sweep = "11.mpiall.0K10" },
-			"-stream does not support -sweep: the ranking sweep re-filters materialized trace sets; drop -stream to run the sweep on the batch path"},
-		{"triage", func(o *options) { o.triage = true },
-			"-stream does not support -triage: the companion analyses read materialized traces; drop -stream to run them on the batch path"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			o := options{normalPath: normal, faultyPath: faulty,
-				filterSpec: "11.mpiall.0K10", attrSpec: "sing.noFreq", linkageName: "ward",
-				top: 6, stream: true}
-			c.opt(&o)
-			var out bytes.Buffer
-			err := run(&out, o)
-			if err == nil {
-				t.Fatal("conflicting flags did not error")
-			}
-			if err.Error() != c.want {
-				t.Fatalf("error = %q\nwant    %q", err.Error(), c.want)
-			}
-		})
-	}
-}
-
 // TestFindDivergenceFlagConflicts: -json needs -find-divergence, and the
 // explorer has no report to read in sweep mode.
 func TestFindDivergenceFlagConflicts(t *testing.T) {
@@ -60,8 +28,8 @@ func TestFindDivergenceFlagConflicts(t *testing.T) {
 }
 
 // TestFindDivergenceCLIDeterminism: the -find-divergence output is
-// byte-identical across worker counts and across batch vs -stream on the
-// same PLOT1 pair, and names the injected fault's rank (swapBug hits p5).
+// byte-identical across worker counts on the same PLOT1 pair, and names the
+// injected fault's rank (swapBug hits p5).
 func TestFindDivergenceCLIDeterminism(t *testing.T) {
 	normal, faulty := writeBinaryPair(t)
 	base := options{normalPath: normal, faultyPath: faulty,
@@ -80,20 +48,15 @@ func TestFindDivergenceCLIDeterminism(t *testing.T) {
 	if !strings.Contains(ref.String(), "5.0") {
 		t.Fatalf("report does not implicate the faulty rank 5:\n%s", ref.String())
 	}
-	for _, w := range []int{8} {
-		for _, stream := range []bool{false, true} {
-			o := base
-			o.workers = w
-			o.stream = stream
-			var out bytes.Buffer
-			if err := run(&out, o); err != nil {
-				t.Fatal(err)
-			}
-			if out.String() != ref.String() {
-				t.Errorf("workers=%d stream=%v output differs from workers=1 batch:\n--- got ---\n%s--- want ---\n%s",
-					w, stream, out.String(), ref.String())
-			}
-		}
+	o := base
+	o.workers = 8
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != ref.String() {
+		t.Errorf("workers=8 output differs from workers=1:\n--- got ---\n%s--- want ---\n%s",
+			out.String(), ref.String())
 	}
 }
 

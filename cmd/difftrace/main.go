@@ -63,10 +63,6 @@ type options struct {
 	// document (and suppresses the text output around it).
 	findDivergence bool
 	jsonOut        bool
-	// stream analyzes PLOT1 inputs without ever expanding them: traces
-	// stay compressed and each pipeline stage re-decodes on the fly.
-	// Output is byte-identical to the materialized path on the same bytes.
-	stream bool
 	// lenient salvages corrupt/truncated trace files instead of failing
 	// and runs the pipeline resiliently (per-trace failures isolated).
 	lenient bool
@@ -117,7 +113,6 @@ func main() {
 	triage := flag.Bool("triage", false, "append the companion analyses: STAT stack classes, AutomaDeD outliers, progress ranking")
 	findDivergence := flag.Bool("find-divergence", false, "report the first divergence point of every normal/faulty NLR pair (divergence explorer)")
 	jsonOut := flag.Bool("json", false, "with -find-divergence: emit the machine-readable JSON document instead of the rendered table")
-	stream := flag.Bool("stream", false, "stream PLOT1 inputs: analyze without expanding the compressed traces (same output, bounded memory)")
 	lenient := flag.Bool("lenient", false, "salvage corrupt/truncated trace files instead of failing, and isolate per-trace pipeline failures")
 	ingestReport := flag.Bool("ingest-report", false, "print the per-trace ingestion/degradation report")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the analysis pipeline (results do not depend on this)")
@@ -140,7 +135,7 @@ func main() {
 		heatmap: *showHeatmap, lattice: *showLattice, color: *color,
 		report: *report, triage: *triage,
 		findDivergence: *findDivergence, jsonOut: *jsonOut,
-		stream: *stream, lenient: *lenient, ingestReport: *ingestReport, workers: *workers,
+		lenient: *lenient, ingestReport: *ingestReport, workers: *workers,
 		manifestPath: *manifest, metrics: *metrics, pprofAddr: *pprofAddr,
 		timeout: *timeout, logJSON: *logJSON, traceID: *traceID,
 	})
@@ -214,7 +209,6 @@ func run(w io.Writer, o options) error {
 		olog.Str("filter", o.filterSpec),
 		olog.Str("attr", o.attrSpec),
 		olog.Str("linkage", o.linkageName),
-		olog.Bool("stream", o.stream),
 		olog.Bool("lenient", o.lenient),
 		olog.Int("workers", o.workers))
 	// The obs run exists only when some output will consume it; a nil run
@@ -229,7 +223,6 @@ func run(w io.Writer, o options) error {
 		obsRun.SetConfig("attr", o.attrSpec)
 		obsRun.SetConfig("linkage", o.linkageName)
 		obsRun.SetConfig("sweep", o.sweep)
-		obsRun.SetConfig("stream", strconv.FormatBool(o.stream))
 		obsRun.SetConfig("find_divergence", strconv.FormatBool(o.findDivergence))
 		obsRun.SetConfig("lenient", strconv.FormatBool(o.lenient))
 		obsRun.SetConfig("workers", strconv.Itoa(o.workers))
@@ -263,15 +256,6 @@ func run(w io.Writer, o options) error {
 		}
 	}()
 
-	// The sweep and triage views re-analyze materialized trace sets; they
-	// are batch-only by construction, so fail fast before any ingest work,
-	// naming the refused flag and the way out.
-	if o.stream && o.sweep != "" {
-		return errors.New("-stream does not support -sweep: the ranking sweep re-filters materialized trace sets; drop -stream to run the sweep on the batch path")
-	}
-	if o.stream && o.triage {
-		return errors.New("-stream does not support -triage: the companion analyses read materialized traces; drop -stream to run them on the batch path")
-	}
 	if o.jsonOut && !o.findDivergence {
 		return errors.New("-json only formats the divergence explorer; pair it with -find-divergence")
 	}
@@ -290,30 +274,19 @@ func run(w io.Writer, o options) error {
 	if o.lenient {
 		rdOpts.Mode = trace.Lenient
 	}
+	// The sweep and triage views replay materialized sets, so they decode a
+	// PLOT1 file once up front; every other view reads it compressed.
+	materialize := o.sweep != "" || o.triage
 	// Both runs must share one registry so function IDs align.
 	reg := trace.NewRegistry()
-	var (
-		normal, faulty   *trace.TraceSet
-		snormal, sfaulty *parlot.StreamSet
-		nrep, frep       *resilience.IngestReport
-		err              error
-	)
 	spIngest := obsRun.StartSpan("ingest")
-	if o.stream {
-		snormal, nrep, err = readStreamSet(ctx, o.normalPath, reg, rdOpts)
-	} else {
-		normal, nrep, err = readSet(ctx, o.normalPath, reg, rdOpts)
-	}
+	normal, nrep, err := readSet(ctx, o.normalPath, reg, rdOpts, materialize)
 	if err != nil {
 		// A timed-out (or corrupt) read still surfaces how far it got.
 		writeIngest(w, o, nrep)
 		return err
 	}
-	if o.stream {
-		sfaulty, frep, err = readStreamSet(ctx, o.faultyPath, reg, rdOpts)
-	} else {
-		faulty, frep, err = readSet(ctx, o.faultyPath, reg, rdOpts)
-	}
+	faulty, frep, err := readSet(ctx, o.faultyPath, reg, rdOpts, materialize)
 	if err != nil {
 		writeIngest(w, o, nrep, frep)
 		return err
@@ -321,13 +294,8 @@ func run(w io.Writer, o options) error {
 	spIngest.End()
 	obsRun.AddIngest(ingestTotals(nrep))
 	obsRun.AddIngest(ingestTotals(frep))
-	if o.stream {
-		// StreamSet renders the same "TraceSet{...}" header, so the two
-		// modes stay line-for-line comparable.
-		fmt.Fprintf(textW, "normal: %s   faulty: %s\n", snormal, sfaulty)
-	} else {
-		fmt.Fprintf(textW, "normal: %s   faulty: %s\n", normal, faulty)
-	}
+	// Both set types render the same "TraceSet{...}" header.
+	fmt.Fprintf(textW, "normal: %s   faulty: %s\n", normal, faulty)
 	writeIngest(textW, o, nrep, frep)
 
 	linkage, err := cluster.ParseMethod(o.linkageName)
@@ -337,7 +305,7 @@ func run(w io.Writer, o options) error {
 	customs := splitList(o.custom)
 
 	if o.sweep != "" {
-		tbl, err := rank.SweepContext(ctx, normal, faulty, rank.Request{
+		tbl, err := rank.SweepContext(ctx, normal.(*trace.TraceSet), faulty.(*trace.TraceSet), rank.Request{
 			Specs:          splitList(o.sweep),
 			CustomPatterns: customs,
 			Linkage:        linkage,
@@ -364,12 +332,7 @@ func run(w io.Writer, o options) error {
 		Filter: flt, Attr: ac, Linkage: linkage, BuildLattices: o.lattice,
 		Resilient: o.lenient, Workers: o.workers, Obs: obsRun,
 	}
-	var rep *core.Report
-	if o.stream {
-		rep, err = core.DiffRunStreamContext(ctx, snormal, sfaulty, cfg)
-	} else {
-		rep, err = core.DiffRunContext(ctx, normal, faulty, cfg)
-	}
+	rep, err := core.DiffRunContext(ctx, normal, faulty, cfg)
 	if err != nil {
 		return err
 	}
@@ -378,7 +341,7 @@ func run(w io.Writer, o options) error {
 	}
 
 	// The divergence pass runs off the finished report, so it composes
-	// with both ingest modes (and with -report below).
+	// with -report below.
 	var div *core.DivergenceReport
 	if o.findDivergence {
 		div, err = rep.FindDivergenceContext(ctx)
@@ -400,7 +363,7 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		if o.triage {
-			writeTriage(w, flt, normal, faulty)
+			writeTriage(w, flt, normal.(*trace.TraceSet), faulty.(*trace.TraceSet))
 		}
 		if div != nil {
 			fmt.Fprintln(w)
@@ -509,9 +472,11 @@ func writeTriage(w io.Writer, flt *filter.Filter, normal, faulty *trace.TraceSet
 }
 
 // readSet loads a trace file in either format, sniffing the binary magic.
-// Strict errors are prefixed with the path; the IngestReport records what a
-// lenient read salvaged.
-func readSet(ctx context.Context, path string, reg *trace.Registry, opts trace.ReadOptions) (*trace.TraceSet, *resilience.IngestReport, error) {
+// A text file reads into a trace.TraceSet. A PLOT1 file stays compressed
+// as a parlot.StreamSet, or is decoded into a trace.TraceSet when
+// materialize is set. Strict errors are prefixed with the path; the
+// IngestReport records what a lenient read salvaged.
+func readSet(ctx context.Context, path string, reg *trace.Registry, opts trace.ReadOptions, materialize bool) (core.Source, *resilience.IngestReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -519,41 +484,20 @@ func readSet(ctx context.Context, path string, reg *trace.Registry, opts trace.R
 	defer f.Close()
 	br := bufio.NewReader(f)
 	var (
-		s   *trace.TraceSet
+		s   core.Source
 		rep *resilience.IngestReport
 	)
 	magic, err := br.Peek(5)
-	if err == nil && string(magic) == "PLOT1" {
-		s, rep, err = parlot.ReadSetBinaryContext(ctx, br, reg, opts)
-	} else {
+	switch {
+	case err != nil || string(magic) != "PLOT1":
 		s, rep, err = trace.ReadSetTextContext(ctx, br, reg, opts)
+	case materialize:
+		s, rep, err = parlot.ReadSetBinaryContext(ctx, br, reg, opts)
+	default:
+		s, rep, err = parlot.ReadStreamSetContext(ctx, br, reg, opts)
 	}
 	if rep != nil {
 		// Even a partial (timed-out/corrupt) report names its source.
-		rep.Source = path
-	}
-	if err != nil {
-		return nil, rep, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, rep, nil
-}
-
-// readStreamSet loads a PLOT1 file as a compressed StreamSet for -stream.
-// The text format has no compressed representation to stream, so anything
-// without the binary magic is rejected up front.
-func readStreamSet(ctx context.Context, path string, reg *trace.Registry, opts trace.ReadOptions) (*parlot.StreamSet, *resilience.IngestReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(5)
-	if err != nil || string(magic) != "PLOT1" {
-		return nil, nil, fmt.Errorf("%s: -stream needs the PLOT1 binary format (re-emit with tracegen's binary output)", path)
-	}
-	s, rep, err := parlot.ReadStreamSetContext(ctx, br, reg, opts)
-	if rep != nil {
 		rep.Source = path
 	}
 	if err != nil {

@@ -46,7 +46,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address")
 	storeDir := flag.String("store", "difftraced-store", "artifact store directory")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "per-job pipeline worker budget (results do not depend on this)")
-	streaming := flag.Bool("streaming", false, "run PLOT1 jobs through the streaming pipeline by default (same reports, bounded memory)")
 	concurrency := flag.Int("concurrency", service.DefaultConcurrency, "jobs run at once")
 	queueDepth := flag.Int("queue", service.DefaultQueueDepth, "bounded admission queue depth (full → 429)")
 	maxAttempts := flag.Int("max-attempts", service.DefaultMaxAttempts, "tries per job, counting the first")
@@ -64,13 +63,13 @@ func main() {
 	}
 	logger := olog.New(os.Stderr, lvl).With(olog.Str("component", "difftraced"))
 
-	if err := run(*addr, *storeDir, *workers, *streaming, *concurrency, *queueDepth, *maxAttempts, *jobTimeout, *drainTimeout, *holdJob, *flightSize, logger); err != nil {
+	if err := run(*addr, *storeDir, *workers, *concurrency, *queueDepth, *maxAttempts, *jobTimeout, *drainTimeout, *holdJob, *flightSize, logger); err != nil {
 		logger.Error("fatal", olog.Err(err))
 		os.Exit(1)
 	}
 }
 
-func run(addr, storeDir string, workers int, streaming bool, concurrency, queueDepth, maxAttempts int, jobTimeout, drainTimeout, holdJob time.Duration, flightSize int, logger *olog.Logger) error {
+func run(addr, storeDir string, workers, concurrency, queueDepth, maxAttempts int, jobTimeout, drainTimeout, holdJob time.Duration, flightSize int, logger *olog.Logger) error {
 	// The service outlives any single request: its job context is the
 	// process context, cancelled only by shutdown.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -80,7 +79,6 @@ func run(addr, storeDir string, workers int, streaming bool, concurrency, queueD
 	svc, recovery, err := service.New(context.Background(), service.Config{
 		StoreDir:    storeDir,
 		Workers:     workers,
-		Streaming:   streaming,
 		Concurrency: concurrency,
 		QueueDepth:  queueDepth,
 		MaxAttempts: maxAttempts,

@@ -1,6 +1,6 @@
 // Golden divergence tests: the divergence explorer's rendered reports over
 // the checked-in fixture pairs must stay byte-identical to the goldens,
-// across Workers 1 vs 8, and across the batch vs streaming ingest modes.
+// across Workers 1 vs 8, and across materialized vs compressed sources.
 // Each fixture carries a known injected fault, and the goldens pin that
 // the explorer names its exact function and event index:
 //
@@ -77,20 +77,17 @@ func divergenceConfig(t *testing.T, fx divergenceFixture, workers int) core.Conf
 
 // divergenceDump runs the pipeline plus the divergence pass and renders
 // the explorer report. stream=true round-trips the fixture through PLOT1
-// bytes and the streaming pipeline — the exact path `difftrace -stream`
-// takes.
+// bytes and diffs the compressed StreamSets — the path `difftrace` takes on
+// PLOT1 files.
 func divergenceDump(t *testing.T, fx divergenceFixture, workers int, stream bool) string {
 	t.Helper()
 	normal, faulty := readDivergencePair(t, fx.name)
 	cfg := divergenceConfig(t, fx, workers)
 
-	var (
-		rep *core.Report
-		err error
-	)
+	src := [2]core.Source{normal, faulty}
 	if stream {
 		reg := trace.NewRegistry()
-		toStream := func(set *trace.TraceSet) *parlot.StreamSet {
+		for i, set := range []*trace.TraceSet{normal, faulty} {
 			var buf bytes.Buffer
 			if werr := parlot.WriteSetBinary(&buf, set); werr != nil {
 				t.Fatal(werr)
@@ -99,12 +96,10 @@ func divergenceDump(t *testing.T, fx divergenceFixture, workers int, stream bool
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			return s
+			src[i] = s
 		}
-		rep, err = core.DiffRunStream(toStream(normal), toStream(faulty), cfg)
-	} else {
-		rep, err = core.DiffRun(normal, faulty, cfg)
 	}
+	rep, err := core.DiffRun(src[0], src[1], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +145,9 @@ func TestGoldenDivergenceWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenDivergenceBatchStreamDeterminism: the same fixture analyzed
-// batch vs streaming must render the byte-identical divergence report.
+// TestGoldenDivergenceBatchStreamDeterminism: the same fixture diffed as
+// materialized and as compressed sets must render the byte-identical
+// divergence report.
 func TestGoldenDivergenceBatchStreamDeterminism(t *testing.T) {
 	for _, fx := range divergenceFixtures {
 		if testing.Short() && fx.name == "lulesh" {
@@ -160,7 +156,7 @@ func TestGoldenDivergenceBatchStreamDeterminism(t *testing.T) {
 		batch := divergenceDump(t, fx, 4, false)
 		stream := divergenceDump(t, fx, 4, true)
 		if batch != stream {
-			t.Errorf("%s: divergence report differs between batch and stream:\n--- batch ---\n%s--- stream ---\n%s",
+			t.Errorf("%s: divergence report differs between materialized and compressed sets:\n--- materialized ---\n%s--- compressed ---\n%s",
 				fx.name, batch, stream)
 		}
 	}

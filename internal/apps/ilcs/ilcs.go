@@ -7,8 +7,10 @@
 // search) and record improved local champions under an OpenMP critical
 // section; the master periodically Allreduces the global champion value and
 // its owner, broadcasts the champion tour, and terminates the search once
-// the champion stops changing — so the per-thread CPU_Exec call counts are
-// genuinely asynchronous, as the paper notes for Figure 7a.
+// the champion stops changing. Evaluation turns go to the workers in an
+// order drawn from the seed, so the per-thread CPU_Exec call counts are
+// uneven, as the paper notes for Figure 7a, yet the same for every run of
+// one configuration.
 //
 // Fault sites (§IV-B/C/D):
 //
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand" //lint:allow wallclock seeded per (rank,tid) from Config.Seed only — worker RNG streams are a pure function of the config
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -132,6 +133,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Procs < 2 {
 		return nil, fmt.Errorf("ilcs: need at least 2 processes")
 	}
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("ilcs: need at least 1 worker thread")
+	}
 	problem := newTSP(cfg.Cities, cfg.Seed)
 
 	res := &Result{Rounds: make([]int, cfg.Procs)}
@@ -198,20 +202,15 @@ func nodeMain(r *mpi.Rank, cfg *Config, problem *tsp) (rounds int, reported, bes
 		return 0, 0, 0, err
 	}
 
-	// Shared node state for the parallel region: the termination flag, the
-	// evaluation counter, the per-thread champion boxes, and the currently
-	// adopted global champion tour that workers refine (ILCS is an
-	// *iterated* local search: the broadcast champion seeds further work).
-	// evalsCap bounds the node's total evaluations to what the round budget
-	// can consume, so worker traces stay proportional to the search length
-	// (on the paper's cluster the wall-clock termination plays this role).
-	var cont atomic.Bool
-	var evals atomic.Int64     // evaluations completed on this node
-	var roundsCtr atomic.Int64 // champion rounds completed by the master
-	var active atomic.Int64    // workers still evaluating
+	// Shared node state for the parallel region: the evaluation turns, the
+	// per-thread champion boxes, and the currently adopted global champion
+	// tour that workers refine (ILCS is an *iterated* local search: the
+	// broadcast champion seeds further work). The turns bound the node's
+	// evaluations to what the round budget consumes, so worker traces stay
+	// proportional to the search length (on the paper's cluster the
+	// wall-clock termination plays this role).
+	sched := newTurns(cfg.Seed, myRank, cfg.Workers)
 	var adopted atomic.Pointer[[]int]
-	active.Store(int64(cfg.Workers))
-	cont.Store(true)
 	champs := make([]champBox, cfg.Workers+1)
 
 	region := omp.NewRegion(myRank, cfg.Tracer)
@@ -221,10 +220,10 @@ func nodeMain(r *mpi.Rank, cfg *Config, problem *tsp) (rounds int, reported, bes
 	region.Parallel(cfg.Workers+1, func(t *omp.Thread) {
 		tid := t.Num() // line 15: rank = omp_get_thread_num()
 		if tid != 0 {
-			workerLoop(t, tid, myRank, cfg, problem, &cont, &evals, &roundsCtr, &active, &adopted, &champs[tid])
+			workerLoop(t, tid, myRank, cfg, problem, sched, &adopted, &champs[tid])
 			return
 		}
-		roundsDone, reportedVal, masterErr = masterLoop(r, t, rank, cfg, &cont, &evals, &roundsCtr, &active, &adopted, champs, champSize)
+		roundsDone, reportedVal, masterErr = masterLoop(r, t, rank, cfg, sched, &adopted, champs, champSize)
 	})
 	if masterErr != nil {
 		return roundsDone, 0, 0, masterErr
@@ -250,26 +249,12 @@ func nodeMain(r *mpi.Rank, cfg *Config, problem *tsp) (rounds int, reported, bes
 
 // workerLoop is Listing 1 lines 16-21: evaluate seeds until told to stop,
 // recording improved champions under the (possibly omitted) critical
-// section.
+// section. Each evaluation waits for one of the node's turns.
 func workerLoop(t *omp.Thread, tid, myRank int, cfg *Config, problem *tsp,
-	cont *atomic.Bool, evals, rounds, active *atomic.Int64,
-	adopted *atomic.Pointer[[]int], champ *champBox) {
-	defer active.Add(-1)
+	sched *turns, adopted *atomic.Pointer[[]int], champ *champBox) {
 	th := t.Tracer()
 	rng := newWorkerRNG(cfg.Seed, myRank, tid)
-	// Sliding-window throttle: workers stay at most two champion rounds
-	// ahead of the master, so the broadcast champion genuinely feeds back
-	// into the iterated search (on the paper's cluster this interleaving
-	// comes from wall-clock pacing). Every worker still gets a minimum
-	// share even when faster siblings drained the window first.
-	minIters := 2
-	iter := 0
-	for cont.Load() {
-		limit := int64(cfg.EvalsPerRound) * (rounds.Load() + 2)
-		if iter >= minIters && evals.Load() >= limit {
-			runtime.Gosched()
-			continue
-		}
+	for iter := 0; sched.take(tid); iter++ {
 		// line 17: calculate seed — unique per (rank, thread, iteration);
 		// the evaluation either restarts from a fresh random tour or
 		// refines (perturb + 2-opt) the currently adopted champion.
@@ -288,7 +273,6 @@ func workerLoop(t *omp.Thread, tid, myRank int, cfg *Config, problem *tsp,
 		if th != nil {
 			th.Exit("CPU_Exec")
 		}
-		evals.Add(1)
 		if local < champ.load() { // line 19
 			protect := !cfg.Plan.Active(faults.OmitCritical, myRank, tid, iter)
 			t.Critical("champ", protect, func() { // line 20 (#pragma omp critical)
@@ -301,7 +285,7 @@ func workerLoop(t *omp.Thread, tid, myRank int, cfg *Config, problem *tsp,
 				}
 			})
 		}
-		iter++
+		sched.finish()
 	}
 }
 
@@ -310,13 +294,93 @@ func newWorkerRNG(seed int64, rank, tid int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(rank*1_000_000+tid*10_000)))
 }
 
+// minShare is the number of turns every worker gets before any worker gets
+// more, so no worker's trace is empty however short the search.
+const minShare = 2
+
+// turns hands out one node's CPU_Exec evaluations one at a time, in an
+// order drawn from (Seed, rank), and holds them back while the master runs
+// a champion round. Which worker evaluates how often — the asynchrony the
+// paper notes for Figure 7a — is thus a function of the configuration
+// alone, and equal configurations give equal traces under any goroutine
+// schedule. (On the paper's cluster the order comes from the hardware; a
+// scheduler-driven order here made every trace, and the ranking tables
+// built from them, change from run to run.)
+type turns struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	order   *rand.Rand // drawn on the node's unused thread-0 worker stream
+	first   []int      // the opening minShare turns per worker, shuffled
+	owner   int        // worker holding the next turn
+	done    int64      // evaluations completed on the node
+	budget  int64      // evaluations allowed before the master's next round
+	workers int
+	stopped bool
+}
+
+func newTurns(seed int64, rank, workers int) *turns {
+	s := &turns{order: newWorkerRNG(seed, rank, 0), workers: workers}
+	s.cond = sync.NewCond(&s.mu)
+	for i := 0; i < minShare; i++ {
+		for w := 1; w <= workers; w++ {
+			s.first = append(s.first, w)
+		}
+	}
+	s.order.Shuffle(len(s.first), func(i, j int) { s.first[i], s.first[j] = s.first[j], s.first[i] })
+	s.owner = s.first[0]
+	return s
+}
+
+// take blocks until worker tid holds the next turn within the budget; it
+// reports false once the master stopped the search.
+func (s *turns) take(tid int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopped && (s.owner != tid || s.done >= s.budget) {
+		s.cond.Wait()
+	}
+	return !s.stopped
+}
+
+// finish ends the current turn and passes the next one on.
+func (s *turns) finish() {
+	s.mu.Lock()
+	s.done++
+	if n := int(s.done); n < len(s.first) {
+		s.owner = s.first[n]
+	} else {
+		s.owner = 1 + s.order.Intn(s.workers)
+	}
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// runUntil lets the workers complete evaluations up to total on the node
+// and returns once they have; until the next call no evaluation runs.
+func (s *turns) runUntil(total int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.budget = total
+	s.cond.Broadcast()
+	for s.done < total {
+		s.cond.Wait()
+	}
+}
+
+// stop ends the search: every waiting worker returns from take.
+func (s *turns) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
 // masterLoop is Listing 1 lines 22-37: reduce the global champion, identify
 // its owner, broadcast the tour, and decide termination.
 func masterLoop(r *mpi.Rank, t *omp.Thread, rank int, cfg *Config,
-	cont *atomic.Bool, evals, roundsDone, active *atomic.Int64,
-	adopted *atomic.Pointer[[]int],
+	sched *turns, adopted *atomic.Pointer[[]int],
 	champs []champBox, champSize int) (rounds int, reported float64, err error) {
-	defer cont.Store(false) // line 36: signal worker threads to terminate
+	defer sched.stop() // line 36: signal worker threads to terminate
 	th := t.Tracer()
 
 	prevVal := math.Inf(1)
@@ -327,12 +391,9 @@ func masterLoop(r *mpi.Rank, t *omp.Thread, rank int, cfg *Config,
 		// Pace the round on real search progress: round r starts once the
 		// node's workers completed r×EvalsPerRound evaluations in total
 		// (the master's "scan the results of the workers" phase of §IV-A).
-		// The cumulative schedule always lies within the workers' sliding
-		// window, so master and workers cannot stall each other.
-		need := int64(rounds) * int64(cfg.EvalsPerRound)
-		for evals.Load() < need && active.Load() > 0 {
-			runtime.Gosched()
-		}
+		// No evaluation runs during the round itself, so the scan, and the
+		// champion the next evaluations refine, are the same in every run.
+		sched.runUntil(int64(rounds) * int64(cfg.EvalsPerRound))
 		// Local champion = best across this node's workers, with its tour.
 		local := math.Inf(1)
 		var localTour []int
@@ -425,7 +486,6 @@ func masterLoop(r *mpi.Rank, t *omp.Thread, rank int, cfg *Config,
 			stable = 0
 		}
 		prevVal, prevPid = got[0], champPid
-		roundsDone.Store(int64(rounds))
 		if stable >= cfg.StableRounds {
 			break
 		}

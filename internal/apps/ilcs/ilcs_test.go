@@ -1,7 +1,10 @@
 package ilcs
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"difftrace/internal/faults"
@@ -214,5 +217,70 @@ func TestWrongReduceOpCompletesWithMoreRounds(t *testing.T) {
 func TestTooFewProcs(t *testing.T) {
 	if _, err := Run(Config{Procs: 1}); err == nil {
 		t.Error("1-process run accepted")
+	}
+}
+
+// TestTracesDeterminismAcrossGOMAXPROCS pins that a run is a function of its
+// configuration: under GOMAXPROCS 1, 2 and 8, every fault site writes the
+// same PLOT1 bytes and reports the same result.
+func TestTracesDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	plans := []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"none", nil},
+		{"ompBug", faults.NewPlan(faults.Fault{Kind: faults.OmitCritical, Process: 2, Thread: 1})},
+		{"wrongSize", faults.NewPlan(faults.Fault{Kind: faults.WrongCollectiveSize, Process: 2, Thread: -1})},
+		{"wrongOp", faults.NewPlan(faults.Fault{Kind: faults.WrongReduceOp, Process: 0, Thread: -1})},
+	}
+	for _, p := range plans {
+		var wantBytes []byte
+		var wantRes string
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tr := parlot.NewTracer(parlot.MainImage)
+			cfg := smallConfig()
+			cfg.Tracer, cfg.Plan = tr, p.plan
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s, GOMAXPROCS=%d: %v", p.name, procs, err)
+			}
+			var buf bytes.Buffer
+			if err := parlot.WriteSetBinary(&buf, tr.Collect()); err != nil {
+				t.Fatal(err)
+			}
+			gotRes := fmt.Sprintf("%+v", *res)
+			if wantBytes == nil {
+				wantBytes, wantRes = buf.Bytes(), gotRes
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), wantBytes) {
+				t.Errorf("%s: traces under GOMAXPROCS=%d differ from GOMAXPROCS=1", p.name, procs)
+			}
+			if gotRes != wantRes {
+				t.Errorf("%s: result under GOMAXPROCS=%d = %s, GOMAXPROCS=1 gave %s", p.name, procs, gotRes, wantRes)
+			}
+		}
+	}
+}
+
+func TestEveryWorkerGetsMinimumShare(t *testing.T) {
+	s := newTurns(7, 3, 4)
+	count := map[int]int{}
+	for i := 0; i < 4*minShare; i++ {
+		count[s.owner]++
+		s.finish()
+	}
+	for w := 1; w <= 4; w++ {
+		if count[w] != minShare {
+			t.Errorf("worker %d got %d of the first %d turns, want %d", w, count[w], 4*minShare, minShare)
+		}
+	}
+}
+
+func TestTooFewWorkers(t *testing.T) {
+	if _, err := Run(Config{Procs: 2, Workers: -1}); err == nil {
+		t.Error("run without worker threads accepted")
 	}
 }

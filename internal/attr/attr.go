@@ -226,8 +226,8 @@ func ExtractContext(tr *trace.Trace, reg *trace.Registry, f Freq) fca.AttrSet {
 
 // ExtractContextIn is ExtractContext binding the result to a shared
 // interner (see ExtractIn for the concurrency contract). It drives the
-// same ContextStream accumulator the streaming pipeline uses, so the two
-// paths share one definition of the caller→callee relation.
+// same ContextStream accumulator the core pipeline uses, so the two share
+// one definition of the caller→callee relation.
 func ExtractContextIn(in *Interner, tr *trace.Trace, reg *trace.Registry, f Freq) fca.AttrSet {
 	cs := NewContextStream()
 	for _, e := range tr.Events {

@@ -6,9 +6,9 @@ import (
 )
 
 // ContextStream incrementally mines caller→callee attributes from a pushed
-// event stream — the streaming pipeline's form of ExtractContext, which
-// ExtractContextIn is now a thin wrapper over, so the batch and streaming
-// extractions run the identical accumulator and cannot diverge. State is
+// event stream — the core pipeline's form of ExtractContext, which
+// ExtractContextIn is a thin wrapper over, so every extraction runs the
+// identical accumulator and cannot diverge. State is
 // the open-call stack plus the frequency table: bounded by call depth and
 // distinct caller>callee pairs, never by trace length.
 type ContextStream struct {

@@ -5,10 +5,12 @@
 //	  → JSM_D → hierarchical clustering → B-score → suspect ranking
 //	  → diffNLR of the suspicious traces.
 //
-// One DiffRun compares a normal execution's TraceSet against a faulty one
-// under a single parameter combination (filter spec, attribute config,
-// linkage method); the rank package sweeps combinations to build the
-// paper's ranking tables.
+// One DiffRun compares a normal execution against a faulty one under a
+// single parameter combination (filter spec, attribute config, linkage
+// method); the rank package sweeps combinations to build the paper's
+// ranking tables. Each execution is a Source: a materialized
+// trace.TraceSet or a compressed parlot.StreamSet, read through the same
+// event loop.
 //
 // The pipeline is internally parallel (Config.Workers) yet deterministic:
 // per-object NLR runs on overlay loop tables that are merged at a barrier
@@ -61,15 +63,6 @@ type Config struct {
 	// all share this budget. 0 means runtime.GOMAXPROCS(0); 1 runs the
 	// whole pipeline inline. Output is identical for every value.
 	Workers int
-	// Streaming marks a run consuming compressed parlot.StreamSets via
-	// DiffRunStream: events are decoded and filtered on the fly each
-	// summarization round, so peak memory is bounded by the compressed
-	// trace plus the summarized forms, never the expansion. Set by
-	// DiffRunStream itself; DiffRunContext rejects it (a materialized set
-	// has nothing to stream). The report is byte-identical to the batch
-	// path's — the differential suite and the two Fuzz*Stream* targets pin
-	// that equivalence.
-	Streaming bool
 	// Obs, when non-nil, collects the run's observability picture: stage
 	// spans, NLR interning and per-level counts, pool utilization, and
 	// degraded-stage records (see internal/obs). Instrumentation never
@@ -189,66 +182,49 @@ type levelRun struct {
 	level *Level
 }
 
+// Source is one execution's per-thread event streams: a materialized
+// *trace.TraceSet or a compressed *parlot.StreamSet, which replays its
+// traces without expanding them.
+type Source interface {
+	// IDs returns the thread IDs in (process, thread) order.
+	IDs() []trace.ThreadID
+	// Reader returns a fresh reader over the events of thread id.
+	Reader(id trace.ThreadID) trace.EventReader
+	// Funcs returns the registry that interned the function names.
+	Funcs() *trace.Registry
+}
+
 // DiffRun executes the full pipeline for one parameter combination.
-func DiffRun(normal, faulty *trace.TraceSet, cfg Config) (*Report, error) {
+func DiffRun(normal, faulty Source, cfg Config) (*Report, error) {
 	return DiffRunContext(nil, normal, faulty, cfg)
 }
 
-// DiffRunContext is DiffRun with cooperative cancellation: ctx is observed
-// at every stage boundary and between worker-pool claims (pool.DoContext),
-// so a run can be cut short by a caller-supplied deadline or cancellation.
-// A cancelled run returns the wrapped ctx error — cancellation always
-// aborts, even under Config.Resilient, because a partial report must never
-// be mistaken for a degraded-but-complete one. A nil ctx is never
-// cancelled, making DiffRunContext(nil, ...) exactly DiffRun.
-func DiffRunContext(ctx context.Context, normal, faulty *trace.TraceSet, cfg Config) (*Report, error) {
-	if cfg.Streaming {
-		return nil, fmt.Errorf("core: Config.Streaming set on a materialized run; use DiffRunStream with parlot StreamSets")
-	}
-	if cfg.Filter == nil {
-		cfg.Filter = filter.Everything()
-	}
-	if cfg.Attr.Kind == attr.Context && cfg.Filter.DropReturns {
-		return nil, fmt.Errorf("core: caller/callee (ctx) attributes need return events; use a filter spec starting with 0")
-	}
-	run := cfg.Obs
-	spRun := run.StartSpan("diffrun")
-	defer spRun.End()
-	table := nlr.NewTable()
-	table.Observe(run)
-	rep := &Report{Cfg: cfg, LoopTable: table}
-
-	spFilter := run.StartSpan("diffrun/filter")
-	fn := cfg.Filter.ApplySet(normal)
-	ff := cfg.Filter.ApplySet(faulty)
-	spFilter.End()
-
-	nv, fv := vocabs(normal.Registry, faulty.Registry)
-	levels := []*levelRun{
-		newLevelRun("thread level", "threads", threadObjects(fn, nv), threadObjects(ff, fv)),
-		newLevelRun("process level", "processes", processObjects(fn, nv), processObjects(ff, fv)),
-	}
-	return diffRun(ctx, cfg, rep, table, levels)
-}
-
-// DiffRunStream executes the full pipeline over compressed StreamSets: the
-// traces are never expanded — each summarization round re-decodes the
-// per-thread FCM/RLE streams and filters symbols on the fly, attribute
-// extraction consumes the summarized sequences (or re-streams the events
-// for the caller→callee kind), and the lattice/JSM stages see exactly the
-// inputs the batch path would hand them. The report is byte-identical to
-// DiffRun on the materialized equivalent of the same bytes.
+// DiffRunStream is DiffRun over compressed sets. It remains only because
+// the benchmark module under _perfbench calls it.
 func DiffRunStream(normal, faulty *parlot.StreamSet, cfg Config) (*Report, error) {
-	return DiffRunStreamContext(nil, normal, faulty, cfg)
+	return DiffRun(normal, faulty, cfg)
 }
 
-// DiffRunStreamContext is DiffRunStream with cooperative cancellation,
-// behaving exactly as DiffRunContext does: every stage boundary, worker
-// claim, and (new here) per-object decode loop observes ctx, and a
-// cancelled run aborts even under Config.Resilient. Workers, Resilient,
-// and Obs compose identically to the batch path.
+// DiffRunStreamContext is DiffRunContext over compressed sets. It remains
+// only because the benchmark module under _perfbench calls it.
 func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet, cfg Config) (*Report, error) {
-	cfg.Streaming = true
+	return DiffRunContext(ctx, normal, faulty, cfg)
+}
+
+// DiffRunContext is DiffRun with cooperative cancellation: ctx is observed
+// at every stage boundary, between worker-pool claims (pool.DoContext) and
+// every few thousand events an object reads, so a run can be cut short by
+// a caller-supplied deadline or cancellation. A cancelled run returns the
+// wrapped ctx error — cancellation always aborts, even under
+// Config.Resilient, because a partial report must never be mistaken for a
+// degraded-but-complete one. A nil ctx is never cancelled, making
+// DiffRunContext(nil, ...) exactly DiffRun.
+//
+// Every summarization round replays each source and filters its events as
+// they are read, so a compressed source is never expanded: peak memory is
+// bounded by the compressed traces plus the summarized forms. The report
+// depends only on the events, never on which kind of Source carried them.
+func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Report, error) {
 	if cfg.Filter == nil {
 		cfg.Filter = filter.Everything()
 	}
@@ -262,42 +238,19 @@ func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet,
 	table.Observe(run)
 	rep := &Report{Cfg: cfg, LoopTable: table}
 
-	// Streaming defers filtering to decode time; the memo holds every
-	// function's keep decision so replay filtering is one slice read per
-	// event. One memo per registry (a normal/faulty pair shares its
-	// registry by the same contract as TraceSets, but nothing breaks if it
-	// doesn't).
+	// Keep decisions and NLR vocabulary are resolved once per job and
+	// registry (a normal/faulty pair normally shares one).
 	spFilter := run.StartSpan("diffrun/filter")
-	nm := cfg.Filter.Memo(normal.Registry)
-	fm := nm
-	if faulty.Registry != normal.Registry {
-		fm = cfg.Filter.Memo(faulty.Registry)
-	}
+	nk, fk := perRegistry(normal, faulty, cfg.Filter.Memo)
 	spFilter.End()
-
-	nv, fv := vocabs(normal.Registry, faulty.Registry)
+	nv, fv := perRegistry(normal, faulty, nlr.NewVocab)
+	nThreads, nProcs := objects(normal, nk, nv)
+	fThreads, fProcs := objects(faulty, fk, fv)
 	levels := []*levelRun{
-		newLevelRun("thread level", "threads",
-			threadStreamObjects(normal, cfg.Filter, nm, nv), threadStreamObjects(faulty, cfg.Filter, fm, fv)),
-		newLevelRun("process level", "processes",
-			processStreamObjects(normal, cfg.Filter, nm, nv), processStreamObjects(faulty, cfg.Filter, fm, fv)),
+		newLevelRun("thread level", "threads", nThreads, fThreads),
+		newLevelRun("process level", "processes", nProcs, fProcs),
 	}
-	return diffRun(ctx, cfg, rep, table, levels)
-}
-
-// diffRun is the shared pipeline tail: everything after object
-// construction is common to the batch and streaming paths — the same
-// summarization fixpoint, overlay merges, attribute extraction,
-// canonicalization, and analysis run over both, which is what makes the
-// equivalence structural rather than coincidental.
-func diffRun(ctx context.Context, cfg Config, rep *Report, table *nlr.Table, levels []*levelRun) (*Report, error) {
-	run := cfg.Obs
 	prog := obs.ProgressFrom(ctx)
-	if cfg.Streaming {
-		// Mode marker for manifests; constant, so manifests stay
-		// byte-identical across worker counts within the mode.
-		run.Counter("core.streaming").Add(1)
-	}
 
 	// Level entry: historically the first stage of each level's work. In a
 	// Resilient run a failure here kills just that level.
@@ -705,53 +658,59 @@ func emptyLevel() *Level {
 	return &Level{Normal: empty(), Faulty: empty(), JSMD: jaccard.New(nil)}
 }
 
-// object is a named event source: either a filtered materialized trace
-// (batch mode — tr is set) or a bundle of compressed per-thread streams
-// filtered during replay (streaming mode — sts is set). Ghosts created by
-// union carry an empty tr in both modes.
+// object is one named event source of a level: a thread object ("p.t")
+// replays one trace, a process object ("p") its process's traces in thread
+// order. Ghosts created by union replay nothing.
 type object struct {
 	name string
-	tr   *trace.Trace
+	src  Source
+	ids  []trace.ThreadID
+	keep *filter.Memo
 	// voc resolves the object's events to names and NLR tokens, once per
 	// job and registry.
 	voc *nlr.Vocab
-
-	// Streaming-mode source: the compressed streams (one for a thread
-	// object, the process's threads in thread order for a process object)
-	// plus the filter applied per decoded symbol. Nil in batch mode.
-	sts []*parlot.StreamTrace
-	flt *filter.Filter
-	km  *filter.Memo
 }
 
-// vocabs resolves the events of a normal/faulty registry pair once per
-// job; a pair sharing its registry shares one Vocab.
-func vocabs(normal, faulty *trace.Registry) (*nlr.Vocab, *nlr.Vocab) {
-	nv := nlr.NewVocab(normal)
-	if faulty == normal {
-		return nv, nv
+// perRegistry builds a per-registry table for both sides of a run, once
+// when the two sources share their registry.
+func perRegistry[T any](normal, faulty Source, build func(*trace.Registry) T) (T, T) {
+	n := build(normal.Funcs())
+	if faulty.Funcs() == normal.Funcs() {
+		return n, n
 	}
-	return nv, nlr.NewVocab(faulty)
+	return n, build(faulty.Funcs())
 }
 
-// forEachEvent walks the object's filtered events in trace order. The
-// batch path reads the already-filtered materialized trace; the streaming
-// path re-decodes the compressed blocks and applies the identical filter
-// predicate (drop-returns on kind, then the memoized KeepName) per symbol
-// — the same decisions filter.Apply makes, in the same order, which is
-// what makes the two modes' event streams equal event for event. Events
-// are yielded as registry function IDs: no name is looked up and no lock
-// taken per event.
+// objects lists a source's thread objects, named "p.t", and its process
+// objects, named "p", each of which concatenates its threads in thread
+// order.
+func objects(src Source, keep *filter.Memo, voc *nlr.Vocab) (threads, procs []object) {
+	for _, id := range src.IDs() {
+		threads = append(threads, object{name: id.String(), src: src, ids: []trace.ThreadID{id}, keep: keep, voc: voc})
+		if n := len(procs); n == 0 || procs[n-1].ids[0].Process != id.Process {
+			procs = append(procs, object{name: strconv.Itoa(id.Process), src: src, keep: keep, voc: voc})
+		}
+		p := &procs[len(procs)-1]
+		p.ids = append(p.ids, id)
+	}
+	return threads, procs
+}
+
+// forEachEvent reads the object's traces in order and yields the events
+// that survive the filter (drop-returns on kind, then the memoized keep
+// decision) — the same decisions filter.Apply makes, in the same order.
+// Events are yielded as registry function IDs: no name is looked up and no
+// lock taken per event.
 //
-// ctx is observed every few thousand events so multi-million-event streams
-// stay cancellable mid-object. An early bail implies ctx.Err() != nil,
-// which the pipeline's stage-boundary checks turn into a run abort — a
-// partially walked object can never reach a successful report.
+// ctx is observed every few thousand events read so multi-million-event
+// traces stay cancellable mid-object. An early bail implies ctx.Err() !=
+// nil, which the pipeline's stage-boundary checks turn into a run abort —
+// a partially walked object can never reach a successful report.
 //
-// The same stride feeds the job's live Progress (when the ctx carries one):
-// the decoded-event count is flushed once per 8192 events plus once at the
-// end, so a scrape of GET /v1/jobs/{id} sees the tokenizer advance at one
-// atomic add per batch, not per event.
+// The same stride feeds the job's live Progress (when the ctx carries one)
+// with the events read, before the filter: the count is flushed once per
+// 8192 events plus once at the end, so a scrape of GET /v1/jobs/{id} sees
+// the reader advance at one atomic add per batch, not per event.
 func (o object) forEachEvent(ctx context.Context, yield func(fn uint32, kind trace.EventKind)) {
 	prog := obs.ProgressFrom(ctx)
 	n := 0
@@ -761,49 +720,30 @@ func (o object) forEachEvent(ctx context.Context, yield func(fn uint32, kind tra
 			prog.AddEvents(int64(n - flushed))
 		}
 	}()
-	alive := func() bool {
-		n++
-		if n&0x1fff != 0 {
-			return true
-		}
-		prog.AddEvents(int64(n - flushed))
-		flushed = n
-		return ctx == nil || ctx.Err() == nil
-	}
-	if o.sts == nil {
-		for _, e := range o.tr.Events {
-			if !alive() {
-				return
-			}
-			yield(e.Func, e.Kind)
-		}
-		return
-	}
-	for _, st := range o.sts {
-		r := st.Reader()
+	for _, id := range o.ids {
+		r := o.src.Reader(id)
 		for {
 			fn, kind, ok := r.Next()
 			if !ok {
 				break
 			}
-			if !alive() {
-				return
+			if n++; n&0x1fff == 0 {
+				prog.AddEvents(int64(n - flushed))
+				flushed = n
+				if ctx != nil && ctx.Err() != nil {
+					return
+				}
 			}
-			if o.flt.DropReturns && kind == trace.Exit {
-				continue
+			if o.keep.KeepEvent(fn, kind) {
+				yield(fn, kind)
 			}
-			if !o.km.Keep(fn) {
-				continue
-			}
-			yield(fn, kind)
 		}
 	}
 }
 
 // summarize runs NLR over the object's filtered events: the same
 // tokenization as nlr.SummarizeTrace (exits surviving the filter render as
-// "ret:<name>"), pushed through one code path for both modes so their
-// summaries are equal by construction.
+// "ret:<name>").
 func (o object) summarize(ctx context.Context, k int, table *nlr.Table) []nlr.Element {
 	s := summarizers.Get().(*nlr.Summarizer)
 	defer summarizers.Put(s)
@@ -820,67 +760,14 @@ func (o object) summarize(ctx context.Context, k int, table *nlr.Table) []nlr.El
 var summarizers = sync.Pool{New: func() any { return new(nlr.Summarizer) }}
 
 // extractContext mines caller→callee attributes from the object's raw
-// enter/exit stream; both modes drive the shared attr.ContextStream
-// accumulator (the one attr.ExtractContext wraps).
+// enter/exit stream through attr.ContextStream, the accumulator
+// attr.ExtractContext wraps.
 func (o object) extractContext(ctx context.Context, f attr.Freq) fca.AttrSet {
 	cs := attr.NewContextStream()
 	o.forEachEvent(ctx, func(fn uint32, kind trace.EventKind) {
 		cs.Push(o.voc.Name(fn), kind)
 	})
 	return cs.ExtractIn(attr.NewInterner(), f)
-}
-
-// threadObjects names every per-thread trace "p.t".
-func threadObjects(s *trace.TraceSet, voc *nlr.Vocab) []object {
-	var out []object
-	for _, id := range s.IDs() {
-		out = append(out, object{name: id.String(), tr: s.Traces[id], voc: voc})
-	}
-	return out
-}
-
-// processObjects merges each process's threads into one object named "p".
-func processObjects(s *trace.TraceSet, voc *nlr.Vocab) []object {
-	var out []object
-	for _, p := range s.Processes() {
-		out = append(out, object{name: strconv.Itoa(p), tr: s.ProcessTrace(p), voc: voc})
-	}
-	return out
-}
-
-// threadStreamObjects names every per-thread stream "p.t" (streaming
-// counterpart of threadObjects over a filtered set — the filter rides
-// along and applies at decode time).
-func threadStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo, voc *nlr.Vocab) []object {
-	var out []object
-	for _, id := range ss.IDs() {
-		out = append(out, object{
-			name: id.String(), voc: voc,
-			sts: []*parlot.StreamTrace{ss.Get(id)}, flt: flt, km: km,
-		})
-	}
-	return out
-}
-
-// processStreamObjects bundles each process's thread streams, in thread
-// order, into one object named "p" — the same concatenation
-// trace.TraceSet.ProcessTrace materializes, expressed as sequential
-// replay.
-func processStreamObjects(ss *parlot.StreamSet, flt *filter.Filter, km *filter.Memo, voc *nlr.Vocab) []object {
-	var out []object
-	for _, p := range ss.Processes() {
-		var sts []*parlot.StreamTrace
-		for _, id := range ss.IDs() {
-			if id.Process == p {
-				sts = append(sts, ss.Get(id))
-			}
-		}
-		out = append(out, object{
-			name: strconv.Itoa(p), voc: voc,
-			sts: sts, flt: flt, km: km,
-		})
-	}
-	return out
 }
 
 // union aligns two object lists by name: objects missing on one side get an
@@ -909,7 +796,7 @@ func union(a, b []object) ([]object, []object) {
 		}
 		sort.Slice(ghosts, func(i, j int) bool { return jaccard.LessNatural(ghosts[i], ghosts[j]) })
 		for _, n := range ghosts {
-			objs = append(objs, object{name: n, tr: &trace.Trace{}})
+			objs = append(objs, object{name: n})
 		}
 		return objs
 	}

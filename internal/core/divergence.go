@@ -5,13 +5,13 @@ package core
 // locates each object's first divergence point via diffnlr.FindDivergence,
 // and cross-references the JSM clustering by annotating each diverging
 // object with its suspect rank. The pass reads only the summarized NLR
-// maps a Report already holds — it composes with the streaming path for
+// maps a Report already holds — it composes with compressed sources for
 // free, costs O(summary), and needs no re-ingestion.
 //
 // Determinism contract: objects are walked in natural order from a sorted
 // slice and results land by index, so the rendered report is byte-identical
-// across worker counts and across batch vs streaming runs (the golden
-// divergence suite pins this).
+// across worker counts and across materialized vs compressed sources (the
+// golden divergence suite pins this).
 
 import (
 	"context"

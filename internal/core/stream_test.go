@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,9 +17,10 @@ import (
 	"difftrace/internal/trace"
 )
 
-// This file is the streaming/batch differential battery: every test feeds
-// the SAME PLOT1 bytes to ReadSetBinaryOptions+DiffRun and to
-// ReadStreamSetOptions+DiffRunStream and demands byte-identical reports.
+// This file is the source-independence battery: every test feeds the SAME
+// PLOT1 bytes to DiffRun once as a materialized TraceSet
+// (ReadSetBinaryOptions) and once as a compressed StreamSet
+// (ReadStreamSetOptions) and demands byte-identical reports.
 // Test names match the Makefile determinism regex
 // (Determinism|Workers|ParallelMatchesSequential|Ghost) so the whole
 // battery runs under `make determinism` with -race -short -count=2.
@@ -44,8 +47,8 @@ func renderFull(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
-// runBatch reads both byte blobs into one fresh registry and runs the
-// materialized pipeline.
+// runBatch reads both byte blobs into one fresh registry as materialized
+// sets and diffs them.
 func runBatch(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *Report {
 	t.Helper()
 	reg := trace.NewRegistry()
@@ -65,7 +68,7 @@ func runBatch(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *
 }
 
 // runStream reads the same blobs as compressed StreamSets (traces never
-// expanded) and runs the streaming pipeline.
+// expanded) and diffs them.
 func runStream(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *Report {
 	t.Helper()
 	reg := trace.NewRegistry()
@@ -77,17 +80,16 @@ func runStream(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) 
 	if err != nil {
 		t.Fatalf("stream read faulty: %v", err)
 	}
-	rep, err := DiffRunStream(normal, faulty, cfg)
+	rep, err := DiffRun(normal, faulty, cfg)
 	if err != nil {
-		t.Fatalf("DiffRunStream: %v", err)
+		t.Fatalf("stream DiffRun: %v", err)
 	}
 	return rep
 }
 
 // streamMatchesBatch asserts the two reports are equivalent across the
-// mode boundary: byte-identical rendered output, identical loop tables,
-// and structurally identical per-level analysis. (Cfg.Streaming is the one
-// field allowed to differ, exactly as Workers is for the parallel suite.)
+// source boundary: byte-identical rendered output, identical loop tables,
+// and structurally identical per-level analysis.
 func streamMatchesBatch(t *testing.T, batch, stream *Report, label string) {
 	t.Helper()
 	if got, want := renderFull(t, stream), renderFull(t, batch); !bytes.Equal(got, want) {
@@ -158,7 +160,7 @@ func TestStreamMatchesBatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamWorkersDeterminism: within streaming mode, the report is
+// TestStreamWorkersDeterminism: over compressed sources the report is
 // identical for every worker count — the parallel-path proof rerun over
 // the decode-on-the-fly objects (run under -race to catch Memo and
 // SymbolReader sharing bugs).
@@ -181,7 +183,7 @@ func TestStreamWorkersDeterminism(t *testing.T) {
 
 // loopySets builds a deviant-population pair of heavily loopy synthetic
 // traces (~10k events per side across 6 threads) whose RLE-compressed form
-// is far smaller than its expansion — the shape the streaming path exists
+// is far smaller than its expansion — the shape compressed sources exist
 // for.
 func loopySets(t *testing.T) (nb, fb []byte) {
 	t.Helper()
@@ -200,7 +202,8 @@ func loopySets(t *testing.T) (nb, fb []byte) {
 
 // TestStreamLoopySynthDeterminism: property-style equivalence on loopy
 // synthetic input, strict and lenient-with-caps (the caps force EventCap
-// quarantines, exercising the replay rule that streaming must reproduce).
+// quarantines, exercising the replay rule the compressed source must
+// reproduce).
 func TestStreamLoopySynthDeterminism(t *testing.T) {
 	nb, fb := loopySets(t)
 	cfg := Config{Filter: filter.Everything(), Attr: attr.Config{Kind: attr.Single, Freq: attr.Actual}, Linkage: DefaultConfig().Linkage}
@@ -227,8 +230,8 @@ func TestStreamLoopySynthDeterminism(t *testing.T) {
 
 // TestStreamChaosParallelMatchesSequential: every binary corruption
 // operator, applied to the faulty side and read leniently, yields the same
-// report through both pipelines (and the streaming ingest accounting
-// matches the batch accounting byte for byte).
+// report from both sources (and the compressed reader's ingest accounting
+// matches the materializing reader's byte for byte).
 func TestStreamChaosParallelMatchesSequential(t *testing.T) {
 	reg := trace.NewRegistry()
 	nb := setBinary(t, collect(t, 6, reg, nil))
@@ -279,9 +282,9 @@ func TestStreamChaosParallelMatchesSequential(t *testing.T) {
 			for _, w := range []int{1, 8} {
 				scfg := cfg
 				scfg.Workers = w
-				stream, err := DiffRunStream(sn, sf, scfg)
+				stream, err := DiffRun(sn, sf, scfg)
 				if err != nil {
-					t.Fatalf("DiffRunStream: %v", err)
+					t.Fatalf("stream DiffRun: %v", err)
 				}
 				streamMatchesBatch(t, batch, stream, op.Name)
 			}
@@ -290,8 +293,8 @@ func TestStreamChaosParallelMatchesSequential(t *testing.T) {
 }
 
 // TestStreamGhostObjectsDeterminism: a faulty side missing two whole
-// processes forces ghost objects through the union; the streaming path
-// must synthesize the same empty-side placeholders the batch path does.
+// processes forces ghost objects through the union; both sources must
+// yield the same empty-side placeholders.
 func TestStreamGhostObjectsDeterminism(t *testing.T) {
 	reg := trace.NewRegistry()
 	nb := setBinary(t, collect(t, 8, reg, nil))
@@ -308,9 +311,9 @@ func TestStreamGhostObjectsDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamManifestWorkersInvariant: within streaming mode the scrubbed
-// obs manifest is byte-identical across worker counts, and it carries the
-// streaming mode marker.
+// TestStreamManifestWorkersInvariant: over compressed sources the scrubbed
+// obs manifest is byte-identical across worker counts, and the compressed
+// reader marks it.
 func TestStreamManifestWorkersInvariant(t *testing.T) {
 	reg := trace.NewRegistry()
 	nb := setBinary(t, collect(t, 8, reg, nil))
@@ -321,7 +324,7 @@ func TestStreamManifestWorkersInvariant(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		cfg.Obs = run
-		runStream(t, nb, fb, trace.ReadOptions{}, cfg)
+		runStream(t, nb, fb, trace.ReadOptions{Obs: run}, cfg)
 		m := run.Manifest()
 		obs.Scrub(m)
 		var buf bytes.Buffer
@@ -332,13 +335,54 @@ func TestStreamManifestWorkersInvariant(t *testing.T) {
 	}
 
 	seq := build(1)
-	if !bytes.Contains(seq, []byte("core.streaming")) {
-		t.Error("streaming manifest missing core.streaming marker")
+	if !bytes.Contains(seq, []byte("parlot.stream_sets")) {
+		t.Error("manifest missing the parlot.stream_sets marker")
 	}
 	for _, w := range []int{2, 8} {
 		par := build(w)
 		if !bytes.Equal(seq, par) {
 			t.Fatalf("scrubbed streaming manifest differs between Workers:1 and Workers:%d:\n--- seq ---\n%s\n--- par ---\n%s", w, seq, par)
 		}
+	}
+}
+
+// TestProgressCountsEventsRead: live progress counts every event a run
+// reads, before the filter, so a materialized and a compressed source of
+// the same bytes advance it by the same amount.
+func TestProgressCountsEventsRead(t *testing.T) {
+	reg := trace.NewRegistry()
+	nset, fset := collect(t, 8, reg, nil), collect(t, 8, reg, swapPlan())
+	nb, fb := setBinary(t, nset), setBinary(t, fset)
+
+	events := func(read func(io.Reader, *trace.Registry) (Source, error)) int64 {
+		t.Helper()
+		reg := trace.NewRegistry()
+		normal, err := read(bytes.NewReader(nb), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty, err := read(bytes.NewReader(fb), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := obs.NewProgress()
+		if _, err := DiffRunContext(obs.WithProgress(context.Background(), p), normal, faulty, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return p.Snapshot().Events
+	}
+	batch := events(func(r io.Reader, reg *trace.Registry) (Source, error) {
+		return parlot.ReadSetBinary(r, reg)
+	})
+	stream := events(func(r io.Reader, reg *trace.Registry) (Source, error) {
+		return parlot.ReadStreamSet(r, reg)
+	})
+	if batch != stream {
+		t.Fatalf("progress events: materialized %d, compressed %d", batch, stream)
+	}
+	// DefaultConfig keeps only MPI calls, yet both levels read every event
+	// of both sides at least once.
+	if read := int64(2 * (nset.TotalEvents() + fset.TotalEvents())); batch < read {
+		t.Fatalf("progress counted %d events, want at least the %d read", batch, read)
 	}
 }

@@ -202,8 +202,7 @@ func TestDiffRunDeterminismILCSAndLULESH(t *testing.T) {
 }
 
 // sweepBoth runs one ranking sweep at Workers:1 and Workers:8 and compares
-// rows and rendered bytes. Parallel is held at 1 so only the intra-run
-// workers vary; TestSweepParallelAndWorkers also varies the outer knob.
+// rows and rendered bytes.
 func sweepBoth(t *testing.T, label string, p *pair, req rank.Request) {
 	t.Helper()
 	normal, faulty := p.get(t)
@@ -269,22 +268,11 @@ func TestTableVIIIDeterminism(t *testing.T) {
 	})
 }
 
-// TestSweepParallelAndWorkers: the outer sweep-parallelism knob and the
-// inner worker budget compose without changing any result.
+// TestSweepParallelAndWorkers: a sweep whose runs use eight workers builds
+// the same table as a sequential one — the sweep check that also runs
+// under -short.
 func TestSweepParallelAndWorkers(t *testing.T) {
-	normal, faulty := oddEvenSwapPair.get(t)
-	req := rank.Request{
+	sweepBoth(t, "oddeven swapBug sweep", oddEvenSwapPair, rank.Request{
 		Specs: []string{"11.mpiall.0K10", "11.mpi.0K10"}, Linkage: cluster.Ward,
-	}
-	req.Parallel, req.Workers = 1, 1
-	seq, err := rank.Sweep(normal, faulty, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Parallel, req.Workers = 4, 8
-	par, err := rank.Sweep(normal, faulty, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTablesEqual(t, "parallel sweep × workers", seq, par)
+	})
 }

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"difftrace/internal/nlr"
 )
 
 // TestAllExperimentsPassShapeChecks runs every table/figure reproduction
@@ -51,6 +54,28 @@ func TestGetAndAll(t *testing.T) {
 		if e.Title == "" || e.PaperRef == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
+	}
+}
+
+// TestContainsTokenLooksInsideLoops pins that a call the NLR folded into a
+// loop still counts as present on that side of a diffNLR (Figure 7a's
+// normal 6.4 trace can be nothing but L<id>^<n> of its critical sections).
+func TestContainsTokenLooksInsideLoops(t *testing.T) {
+	table := nlr.NewTable()
+	inner := table.Intern([]nlr.Element{{Sym: "GOMP_critical_start"}, {Sym: "memcpy"}})
+	outer := table.Intern([]nlr.Element{{Sym: "CPU_Exec"}, {Loop: &nlr.Loop{Body: table.Body(inner), Count: 2, ID: inner}}})
+	folded := []string{"main", fmt.Sprintf("L%d^3", outer)}
+	if !containsToken(folded, table, "GOMP_critical_start") {
+		t.Error("call inside a nested loop body not found")
+	}
+	if containsToken(folded, table, "MPI_Finalize") {
+		t.Error("absent call found")
+	}
+	if containsToken(folded, nil, "GOMP_critical_start") {
+		t.Error("loop body resolved without a table")
+	}
+	if !containsToken([]string{"MPI_Allreduce"}, nil, "MPI_Allreduce") {
+		t.Error("plain token not found")
 	}
 }
 

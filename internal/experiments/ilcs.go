@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"regexp"
+	"strconv"
 	"strings"
 
 	"difftrace/internal/attr"
@@ -10,6 +12,7 @@ import (
 	"difftrace/internal/core"
 	"difftrace/internal/diffnlr"
 	"difftrace/internal/faults"
+	"difftrace/internal/nlr"
 	"difftrace/internal/rank"
 	"difftrace/internal/trace"
 )
@@ -223,8 +226,8 @@ func Figure7(w io.Writer) (*Outcome, error) {
 	}
 	// The normal side contains critical-section calls; the faulty side's
 	// 6.4 never shows them.
-	normalHasCrit := containsToken(dA.Normal, "GOMP_critical_start")
-	faultyHasCrit := containsToken(dA.Faulty, "GOMP_critical_start")
+	normalHasCrit := containsToken(dA.Normal, dA.Table, "GOMP_critical_start")
+	faultyHasCrit := containsToken(dA.Faulty, dA.Table, "GOMP_critical_start")
 	o.metric("fig7a_normal_has_critical", "%v", normalHasCrit)
 	o.metric("fig7a_faulty_has_critical", "%v", faultyHasCrit)
 	if !normalHasCrit || faultyHasCrit {
@@ -260,7 +263,7 @@ func Figure7(w io.Writer) (*Outcome, error) {
 			o.fail("fig7b: faulty trace should end inside MPI_Allreduce, got %s", last)
 		}
 	}
-	if containsToken(dB.Faulty, "MPI_Finalize") {
+	if containsToken(dB.Faulty, dB.Table, "MPI_Finalize") {
 		o.fail("fig7b: deadlocked process reached MPI_Finalize")
 	}
 
@@ -319,11 +322,24 @@ func Figure7(w io.Writer) (*Outcome, error) {
 	return o, nil
 }
 
-func containsToken(tokens []string, name string) bool {
+// containsToken reports whether a token of one diffNLR side names the call
+// (or starts with it), looking inside folded loops through the loop table:
+// a call the NLR folded into L<id>^<n> still occurs in that trace.
+func containsToken(tokens []string, table *nlr.Table, name string) bool {
 	for _, t := range tokens {
 		if t == name || strings.HasPrefix(t, name) {
+			return true
+		}
+		m := loopTokRE.FindStringSubmatch(t)
+		if m == nil || table == nil {
+			continue
+		}
+		id, _ := strconv.Atoi(m[1])
+		if containsToken(nlr.Tokens(table.Body(id)), table, name) {
 			return true
 		}
 	}
 	return false
 }
+
+var loopTokRE = regexp.MustCompile(`^L(\d+)\^\d+$`)

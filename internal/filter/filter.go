@@ -319,13 +319,9 @@ func (f *Filter) ApplySet(s *trace.TraceSet) *trace.TraceSet {
 func (m *Memo) apply(t *trace.Trace) *trace.Trace {
 	out := &trace.Trace{ID: t.ID, Truncated: t.Truncated}
 	for _, e := range t.Events {
-		if m.f.DropReturns && e.Kind == trace.Exit {
-			continue
+		if m.KeepEvent(e.Func, e.Kind) {
+			out.Events = append(out.Events, e)
 		}
-		if !m.Keep(e.Func) {
-			continue
-		}
-		out.Events = append(out.Events, e)
 	}
 	return out
 }

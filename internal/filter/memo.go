@@ -3,13 +3,13 @@ package filter
 import "difftrace/internal/trace"
 
 // Memo holds a filter's keep decision for every function of a registry,
-// indexed by function ID. The streaming pipeline filters each decoded
-// symbol on the fly — and re-filters on every summarization round, since
-// streams are re-decoded instead of kept expanded — so the regexp-backed
-// KeepName would otherwise run once per event instead of once per distinct
-// function. Decisions are a pure function of the interned name, so the
-// table cannot change results (TestMemoMatchesKeepName checks it against
-// KeepName); Apply and ApplySet filter through a Memo too.
+// indexed by function ID. The pipeline filters every event it reads — and
+// re-filters on every summarization round, since each round replays the
+// source — so the regexp-backed KeepName would otherwise run once per
+// event instead of once per distinct function. Decisions are a pure
+// function of the interned name, so the table cannot change results
+// (TestMemoMatchesKeepName checks it against KeepName); Apply and ApplySet
+// filter through a Memo too.
 //
 // The table is filled when the Memo is made and never written again, so
 // Keep takes no lock and many workers can share one Memo.
@@ -20,9 +20,6 @@ type Memo struct {
 }
 
 // Memo returns the keep decisions of f over every function reg holds now.
-// The drop-returns flag is not part of the decision (it acts on event
-// kind, not name); streaming callers apply it before consulting the Memo,
-// mirroring Apply.
 func (f *Filter) Memo(reg *trace.Registry) *Memo {
 	names := reg.Names()
 	m := &Memo{f: f, reg: reg, keep: make([]bool, len(names))}
@@ -40,4 +37,10 @@ func (m *Memo) Keep(fn uint32) bool {
 		return m.keep[fn]
 	}
 	return m.f.KeepName(m.reg.Name(fn))
+}
+
+// KeepEvent reports whether one event survives the whole filter: the
+// drop-returns flag acts on its kind, then Keep on its function.
+func (m *Memo) KeepEvent(fn uint32, kind trace.EventKind) bool {
+	return !(m.f.DropReturns && kind == trace.Exit) && m.Keep(fn)
 }

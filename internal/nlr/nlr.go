@@ -637,7 +637,8 @@ func Tokens(elems []Element) []string {
 //
 // Expand materializes the full expansion and is for tests and reference
 // code only: the analysis pipeline must stay memory-bounded by the
-// summarized form (that is the point of Config.Streaming). The
+// summarized form (that is what lets core diff compressed traces that
+// would not fit in memory expanded). The
 // expanddiscipline lint check rejects production calls; a deliberate
 // exception needs //lint:allow expanddiscipline with a reason.
 func Expand(elems []Element) []string {
@@ -660,9 +661,9 @@ func Expand(elems []Element) []string {
 
 // ExpandedLen returns the number of tokens Expand would produce, computed
 // by loop arithmetic over the summarized form — O(summary size), no
-// materialization. The query and divergence layers use it to reason about
-// expanded event positions while staying inside the streaming memory
-// contract.
+// materialization. The query, divergence and progress layers use it to
+// reason about expanded event positions while staying inside the streaming
+// memory contract.
 func ExpandedLen(elems []Element) int64 {
 	var n int64
 	for _, e := range elems {

@@ -25,10 +25,11 @@ import (
 //	    fn<<1|kind symbols)
 //
 // Only names actually referenced by events are written, with IDs remapped
-// densely, so a file stands alone regardless of how large the in-memory
-// registry grew. Reading interns names into the caller's registry (pass
-// the same registry for a normal/faulty pair, exactly like the text
-// format).
+// densely in name order, so a file stands alone regardless of how large
+// the in-memory registry grew or in which order it interned the names: the
+// bytes depend only on the traces. Reading interns names into the caller's
+// registry (pass the same registry for a normal/faulty pair, exactly like
+// the text format).
 
 const fileMagic = "PLOT1"
 
@@ -39,18 +40,22 @@ func WriteSetBinary(w io.Writer, set *trace.TraceSet) error {
 		return err
 	}
 
-	// Collect referenced function IDs and build the dense remap.
-	used := map[uint32]bool{}
+	// Collect referenced function IDs and build the dense remap in name
+	// order (a Tracer interns names in first-call order, which follows the
+	// scheduler).
+	names := map[uint32]string{}
 	for _, tr := range set.Traces {
 		for _, e := range tr.Events {
-			used[e.Func] = true
+			if _, ok := names[e.Func]; !ok {
+				names[e.Func] = set.Registry.Name(e.Func)
+			}
 		}
 	}
-	oldIDs := make([]uint32, 0, len(used))
-	for id := range used {
+	oldIDs := make([]uint32, 0, len(names))
+	for id := range names {
 		oldIDs = append(oldIDs, id)
 	}
-	sort.Slice(oldIDs, func(i, j int) bool { return oldIDs[i] < oldIDs[j] })
+	sort.Slice(oldIDs, func(i, j int) bool { return names[oldIDs[i]] < names[oldIDs[j]] })
 	remap := make(map[uint32]uint32, len(oldIDs))
 	for newID, oldID := range oldIDs {
 		remap[oldID] = uint32(newID)
@@ -67,7 +72,7 @@ func WriteSetBinary(w io.Writer, set *trace.TraceSet) error {
 		return err
 	}
 	for _, oldID := range oldIDs {
-		name := set.Registry.Name(oldID)
+		name := names[oldID]
 		if err := putUvarint(uint64(len(name))); err != nil {
 			return err
 		}

@@ -100,6 +100,59 @@ func TestBinaryDenseRemap(t *testing.T) {
 	}
 }
 
+// TestBinaryBytesIgnoreInternOrder: the same traces, held by two registries
+// that interned their names in opposite orders (as two Tracer runs may,
+// since a Tracer interns in first-call order), write identical bytes that
+// read back to identical traces.
+func TestBinaryBytesIgnoreInternOrder(t *testing.T) {
+	names := []string{"main", "MPI_Send", "MPI_Recv", "work"}
+	calls := []string{"main", "MPI_Recv", "work", "MPI_Send", "MPI_Recv", "main"}
+	write := func(internOrder []string) []byte {
+		s := trace.NewTraceSet()
+		for _, n := range internOrder {
+			s.Registry.ID(n)
+		}
+		for p := 0; p < 2; p++ {
+			tr := s.Get(trace.TID(p, 0))
+			for _, n := range calls[p:] {
+				tr.Append(s.Registry.ID(n), trace.Enter)
+				tr.Append(s.Registry.ID(n), trace.Exit)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSetBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	reversed := make([]string, len(names))
+	for i, n := range names {
+		reversed[len(names)-1-i] = n
+	}
+	a, b := write(names), write(reversed)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("PLOT1 bytes depend on the registry's intern order:\n%x\n%x", a, b)
+	}
+	sa, err := ReadSetBinary(bytes.NewReader(a), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := ReadSetBinary(bytes.NewReader(b), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ta, tb bytes.Buffer
+	if err := trace.WriteSetText(&ta, sa); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteSetText(&tb, sb); err != nil {
+		t.Fatal(err)
+	}
+	if ta.Len() == 0 || !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+		t.Fatalf("read-back traces differ:\n%s\n%s", ta.Bytes(), tb.Bytes())
+	}
+}
+
 func TestBinarySmallerThanText(t *testing.T) {
 	// A loopy trace compresses far below the text format.
 	s := trace.NewTraceSet()

@@ -86,6 +86,14 @@ func (ss *StreamSet) Processes() []int {
 // Get returns the stream for id, or nil if the set has no such thread.
 func (ss *StreamSet) Get(id trace.ThreadID) *StreamTrace { return ss.traces[id] }
 
+// Funcs returns the registry that interned the set's function names, as
+// trace.TraceSet.Funcs does.
+func (ss *StreamSet) Funcs() *trace.Registry { return ss.Registry }
+
+// Reader returns a fresh decoder over the kept events of thread id; a
+// thread the set does not hold reads as empty.
+func (ss *StreamSet) Reader(id trace.ThreadID) trace.EventReader { return ss.traces[id].Reader() }
+
 // Len returns the number of per-thread streams.
 func (ss *StreamSet) Len() int { return len(ss.traces) }
 
@@ -109,7 +117,7 @@ func (ss *StreamSet) CompressedBytes() int {
 }
 
 // String matches trace.TraceSet's rendering so CLI headers are
-// byte-identical across the batch and streaming paths.
+// byte-identical whichever set type an input was read into.
 func (ss *StreamSet) String() string {
 	return fmt.Sprintf("TraceSet{%d traces, %d events}", len(ss.traces), ss.TotalEvents())
 }
@@ -291,6 +299,8 @@ func ReadStreamSetContext(ctx context.Context, r io.Reader, reg *trace.Registry,
 		}()
 	}
 	dropSet, err := readBinary(ctx, r, reg, opts, rep, streamSink{ss: ss})
+	// The run's manifest shows that its analysis replays compressed traces.
+	opts.Obs.Counter("parlot.stream_sets").Add(1)
 	// Ingest decodes every kept event once to classify it; fold that work
 	// into the job's live Progress (nil-off) so a scrape during a large
 	// ingest already shows the tokenizer moving.

@@ -24,22 +24,6 @@ import (
 	"difftrace/internal/trace"
 )
 
-// weight is the number of underlying calls an NLR element expands to.
-func weight(e nlr.Element) int {
-	if e.Loop == nil {
-		return 1
-	}
-	return e.Loop.Count * bodyWeight(e.Loop.Body)
-}
-
-func bodyWeight(body []nlr.Element) int {
-	w := 0
-	for _, e := range body {
-		w += weight(e)
-	}
-	return w
-}
-
 // alignToken renders an element for alignment purposes: loop counts are
 // dropped so "L1^16" and "L1^7" align as the same loop (and then earn
 // partial credit), while distinct bodies stay distinct.
@@ -55,7 +39,7 @@ func alignToken(e nlr.Element) string {
 // empty faulty trace scores 0; a trace whose final loop ran 7 of 16
 // iterations earns 7/16 of that loop's weight.
 func Score(normal, faulty []nlr.Element) float64 {
-	total := bodyWeight(normal)
+	total := nlr.ExpandedLen(normal)
 	if total == 0 {
 		return 1
 	}
@@ -86,7 +70,7 @@ func Score(normal, faulty []nlr.Element) float64 {
 					if n.Loop.Count < credit {
 						credit = n.Loop.Count
 					}
-					matched += float64(credit * bodyWeight(n.Loop.Body))
+					matched += float64(int64(credit) * nlr.ExpandedLen(n.Loop.Body))
 				}
 				ni++
 				fi++

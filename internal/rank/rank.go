@@ -37,16 +37,12 @@ type Request struct {
 	// Eps is the minimum similarity-row change for an object to count as
 	// suspicious.
 	Eps float64
-	// Parallel runs up to this many pipeline instances concurrently
-	// (paper future-work item 1: "optimizing [components] to exploit
-	// multi-core CPUs, reducing the overall analysis time"). Each
-	// parameter combination is an independent DiffRun, so the sweep is
-	// embarrassingly parallel; 0 or 1 means sequential.
-	Parallel int
-	// Workers is the total intra-run worker budget. When the sweep itself
-	// is parallel the budget is divided across the concurrent runs
-	// (Parallel × per-run workers never oversubscribes it); 0 means
-	// runtime.GOMAXPROCS(0). Results are identical for every value.
+	// Workers is the worker budget of each combination's DiffRun (paper
+	// future-work item 1: "optimizing [components] to exploit multi-core
+	// CPUs, reducing the overall analysis time"). Combinations run one
+	// after another, each with the whole budget, so the sweep's peak
+	// memory is one run's; 0 means runtime.GOMAXPROCS(0). Results are
+	// identical for every value.
 	Workers int
 	// Obs, when non-nil, aggregates observability across the whole sweep:
 	// every DiffRun folds its spans and counters into this one run, each
@@ -54,16 +50,6 @@ type Request struct {
 	// records utilization under the "rank.sweep" pool site. Nil disables
 	// instrumentation at zero cost.
 	Obs *obs.Run
-}
-
-// runWorkers resolves the per-run worker budget: the total budget divided
-// by the number of concurrently running sweeps.
-func (r *Request) runWorkers() int {
-	outer := r.Parallel
-	if outer < 1 {
-		outer = 1
-	}
-	return pool.Divide(pool.Workers(r.Workers), outer)
 }
 
 func (r *Request) defaults() {
@@ -102,7 +88,7 @@ type combo struct {
 }
 
 // Sweep runs every (spec × attrs) combination over the two executions,
-// optionally in parallel (Request.Parallel workers).
+// one combination at a time.
 func Sweep(normal, faulty *trace.TraceSet, req Request) (*Table, error) {
 	return SweepContext(nil, normal, faulty, req)
 }
@@ -129,13 +115,12 @@ func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Reque
 
 	rows := make([]Row, len(combos))
 	errs := make([]error, len(combos))
-	runW := req.runWorkers()
 	req.Obs.Counter("rank.combos").Add(int64(len(combos)))
 	runOne := func(i int) {
 		c := combos[i]
 		sp := req.Obs.StartSpan("rank/" + c.spec + "/" + c.attr.String())
 		defer sp.End()
-		cfg := core.Config{Filter: c.flt, Attr: c.attr, Linkage: req.Linkage, Workers: runW, Obs: req.Obs}
+		cfg := core.Config{Filter: c.flt, Attr: c.attr, Linkage: req.Linkage, Workers: req.Workers, Obs: req.Obs}
 		rep, err := core.DiffRunContext(ctx, normal, faulty, cfg)
 		if err != nil {
 			errs[i] = fmt.Errorf("rank: %s/%s: %w", c.spec, c.attr, err)
@@ -151,7 +136,9 @@ func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Reque
 		}
 	}
 
-	if err := pool.DoObservedContext(ctx, req.Obs, "rank.sweep", req.Parallel, len(combos), runOne); err != nil {
+	// One worker: the pool loop still records the rank.sweep site and
+	// checks ctx between combinations.
+	if err := pool.DoObservedContext(ctx, req.Obs, "rank.sweep", 1, len(combos), runOne); err != nil {
 		return nil, fmt.Errorf("rank: sweep cancelled: %w", err)
 	}
 	for _, err := range errs {

@@ -144,6 +144,8 @@ func TestTableVIShape(t *testing.T) {
 	}
 }
 
+// TestParallelSweepMatchesSequential: a sweep whose runs get four workers
+// builds the same table as one whose runs get one.
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	normal, faulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
 		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
@@ -151,13 +153,14 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	base := Request{
 		Specs:   []string{"11.mpiall.0K10", "11.mpisr.0K10"},
 		Linkage: cluster.Ward,
+		Workers: 1,
 	}
 	seq, err := Sweep(normal, faulty, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
-	par.Parallel = 4
+	par.Workers = 4
 	got, err := Sweep(normal, faulty, par)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +183,8 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 func TestParallelSweepPropagatesErrors(t *testing.T) {
 	normal, faulty := oddEvenSets(t, nil)
 	_, err := Sweep(normal, faulty, Request{
-		Specs:    []string{"11.cust.0K10"}, // cust without patterns: parse error
-		Parallel: 4,
+		Specs:   []string{"11.cust.0K10"}, // cust without patterns: parse error
+		Workers: 4,
 	})
 	if err == nil {
 		t.Error("expected parse error")

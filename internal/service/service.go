@@ -33,7 +33,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -128,11 +127,6 @@ type Config struct {
 	StoreDir string
 	// Workers is the per-job pipeline worker budget (0: GOMAXPROCS).
 	Workers int
-	// Streaming makes every PLOT1 job run the streaming pipeline by
-	// default (traces analyzed without expansion); requests can also opt
-	// in individually. Reports are byte-identical either way, so the mode
-	// does not split the artifact cache.
-	Streaming bool
 	// Concurrency is how many jobs run at once (0: DefaultConcurrency).
 	Concurrency int
 	// QueueDepth bounds queued-but-not-running jobs (0: default).
@@ -184,18 +178,14 @@ func (c *Config) defaults() {
 type DiffRequest struct {
 	Normal    string `json:"normal"`
 	Faulty    string `json:"faulty"`
-	Filter    string `json:"filter,omitempty"`    // default 11.mpiall.0K10
-	Attr      string `json:"attr,omitempty"`      // default sing.noFreq
-	Linkage   string `json:"linkage,omitempty"`   // default ward
+	Filter    string `json:"filter,omitempty"`     // default 11.mpiall.0K10
+	Attr      string `json:"attr,omitempty"`       // default sing.noFreq
+	Linkage   string `json:"linkage,omitempty"`    // default ward
 	TimeoutMs int    `json:"timeout_ms,omitempty"` // caps at Config.JobTimeout
-	// Streaming opts this job into the streaming pipeline (PLOT1 inputs
-	// analyzed without expansion). Text inputs fall back to the
-	// materialized path; the report is byte-identical in every case.
-	Streaming bool `json:"streaming,omitempty"`
 	// FindDivergence appends the divergence explorer section (first
 	// divergence point per aligned NLR pair, suspect-annotated) to the
-	// rendered report. Unlike Streaming it changes the report bytes, so it
-	// participates in the artifact cache key.
+	// rendered report. It changes the report bytes, so it participates in
+	// the artifact cache key.
 	FindDivergence bool `json:"find_divergence,omitempty"`
 }
 
@@ -234,7 +224,7 @@ type job struct {
 	log     *olog.Logger  // bound to trace_id + job id; nil is off
 
 	// raw bytes pinned at admission; cleared once the job settles.
-	normalRaw, faultyRaw []byte
+	normalRaw, faultyRaw   []byte
 	normalHash, faultyHash string
 
 	mu          sync.Mutex
@@ -439,9 +429,6 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 	nh, fh := store.Key(normalRaw), store.Key(faultyRaw)
 	// Workers deliberately excluded: the pipeline's output is
 	// schedule-independent, so worker count must not split the cache.
-	// Streaming is excluded on the same precedent — the differential
-	// battery proves the report bytes are mode-independent. (The stored
-	// manifest records whichever mode actually produced the artifacts.)
 	// FindDivergence IS included: it appends a section to the report, so
 	// the two variants are distinct artifacts.
 	id := store.PairKey(nh, fh, req.Filter, req.Attr, req.Linkage,
@@ -507,7 +494,6 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 			olog.Str("filter", req.Filter),
 			olog.Str("attr", req.Attr),
 			olog.Str("linkage", req.Linkage),
-			olog.Bool("streaming", req.Streaming || s.cfg.Streaming),
 			olog.Int("queue_len", len(s.queue)))
 		return j.view(), nil
 	default:
@@ -769,37 +755,17 @@ func (s *Service) pipeline(ctx context.Context, j *job) error {
 		}
 	}
 
-	// Streaming applies when requested (per job or service-wide) and both
-	// inputs are PLOT1 — text traces have no compressed representation to
-	// stream, so they quietly run the materialized path, which produces
-	// the same bytes anyway.
-	streaming := (j.req.Streaming || s.cfg.Streaming) && isPLOT1(normalRaw) && isPLOT1(faultyRaw)
-	run.SetConfig("stream", fmt.Sprintf("%t", streaming))
 	run.SetConfig("find_divergence", fmt.Sprintf("%t", j.req.FindDivergence))
 
 	reg := trace.NewRegistry()
 	opts := trace.ReadOptions{Mode: trace.Lenient, Obs: run}
-	var (
-		normal, faulty   *trace.TraceSet
-		snormal, sfaulty *parlot.StreamSet
-		nrep, frep       *resilience.IngestReport
-		err              error
-	)
 	prog.SetStage("ingest")
 	sp := run.StartSpan("ingest")
-	if streaming {
-		snormal, nrep, err = parlot.ReadStreamSetContext(ctx, bytes.NewReader(normalRaw), reg, opts)
-	} else {
-		normal, nrep, err = readSetBytes(ctx, normalRaw, reg, opts)
-	}
+	normal, nrep, err := readSource(ctx, normalRaw, reg, opts)
 	if err != nil {
 		return fmt.Errorf("service: normal trace: %w", err)
 	}
-	if streaming {
-		sfaulty, frep, err = parlot.ReadStreamSetContext(ctx, bytes.NewReader(faultyRaw), reg, opts)
-	} else {
-		faulty, frep, err = readSetBytes(ctx, faultyRaw, reg, opts)
-	}
+	faulty, frep, err := readSource(ctx, faultyRaw, reg, opts)
 	if err != nil {
 		return fmt.Errorf("service: faulty trace: %w", err)
 	}
@@ -824,12 +790,7 @@ func (s *Service) pipeline(ctx context.Context, j *job) error {
 		Filter: flt, Attr: ac, Linkage: linkage,
 		Resilient: true, Workers: s.cfg.Workers, Obs: run,
 	}
-	var rep *core.Report
-	if streaming {
-		rep, err = core.DiffRunStreamContext(ctx, snormal, sfaulty, ccfg)
-	} else {
-		rep, err = core.DiffRunContext(ctx, normal, faulty, ccfg)
-	}
+	rep, err := core.DiffRunContext(ctx, normal, faulty, ccfg)
 	if err != nil {
 		return err
 	}
@@ -891,14 +852,14 @@ func isPLOT1(raw []byte) bool {
 	return len(raw) >= 5 && string(raw[:5]) == "PLOT1"
 }
 
-// readSetBytes parses raw trace bytes in either format, sniffing the
-// PLOT1 magic.
-func readSetBytes(ctx context.Context, raw []byte, reg *trace.Registry, opts trace.ReadOptions) (*trace.TraceSet, *resilience.IngestReport, error) {
-	br := bufio.NewReader(bytes.NewReader(raw))
-	if magic, err := br.Peek(5); err == nil && string(magic) == "PLOT1" {
-		return parlot.ReadSetBinaryContext(ctx, br, reg, opts)
+// readSource parses raw trace bytes in either format: a PLOT1 input stays
+// compressed as a parlot.StreamSet, a text input reads into a
+// trace.TraceSet.
+func readSource(ctx context.Context, raw []byte, reg *trace.Registry, opts trace.ReadOptions) (core.Source, *resilience.IngestReport, error) {
+	if isPLOT1(raw) {
+		return parlot.ReadStreamSetContext(ctx, bytes.NewReader(raw), reg, opts)
 	}
-	return trace.ReadSetTextContext(ctx, br, reg, opts)
+	return trace.ReadSetTextContext(ctx, bytes.NewReader(raw), reg, opts)
 }
 
 // ingestTotals folds an IngestReport into the manifest's ingestion entry

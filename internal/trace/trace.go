@@ -230,6 +230,40 @@ func (s *TraceSet) Processes() []int {
 	return out
 }
 
+// Funcs returns the registry that interned the set's function names (the
+// Registry field, under the name the pipeline's event-source contract
+// shares with compressed sets).
+func (s *TraceSet) Funcs() *Registry { return s.Registry }
+
+// EventReader yields one thread's events in trace order.
+type EventReader interface {
+	// Next returns the next event's function ID and kind; ok is false at
+	// the end of the trace.
+	Next() (fn uint32, kind EventKind, ok bool)
+}
+
+// Reader returns a fresh reader over the events of thread id; a thread the
+// set does not hold reads as empty.
+func (s *TraceSet) Reader(id ThreadID) EventReader {
+	r := &eventReader{}
+	if t := s.Traces[id]; t != nil {
+		r.events = t.Events
+	}
+	return r
+}
+
+// eventReader walks a materialized event slice.
+type eventReader struct{ events []Event }
+
+func (r *eventReader) Next() (uint32, EventKind, bool) {
+	if len(r.events) == 0 {
+		return 0, 0, false
+	}
+	e := r.events[0]
+	r.events = r.events[1:]
+	return e.Func, e.Kind, true
+}
+
 // ProcessTrace concatenates all thread traces of process p (thread order) into
 // one trace, used when diffing at process granularity.
 func (s *TraceSet) ProcessTrace(p int) *Trace {

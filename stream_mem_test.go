@@ -1,8 +1,8 @@
-// Streaming memory-ceiling regression test: the whole point of the
-// streaming pipeline is that analysis memory is bounded by the compressed
-// input plus per-object summarizer state, never by the trace expansion.
-// This test generates a PLOT1 pair whose expansion is >=20x the heap
-// budget, runs the full streaming diff under a heap sampler, and fails if
+// Streaming memory-ceiling regression test: the whole point of diffing
+// compressed StreamSets is that analysis memory is bounded by the
+// compressed input plus per-object summarizer state, never by the trace
+// expansion. This test generates a PLOT1 pair whose expansion is >=20x the
+// heap budget, diffs the compressed sets under a heap sampler, and fails if
 // the live heap ever exceeded the budget. `make memceiling` (and its CI
 // job) runs it; -short skips it.
 package difftrace_test
@@ -112,7 +112,7 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 	baseline := ms.HeapAlloc
 
 	sampler := obs.StartHeapSampler(time.Millisecond)
-	rep, err := core.DiffRunStream(normal, faulty, core.Config{
+	rep, err := core.DiffRun(normal, faulty, core.Config{
 		Filter: filter.Everything(), Attr: attr.Config{Kind: attr.Single, Freq: attr.Actual},
 		Linkage: cluster.Ward, Workers: 2,
 	})
