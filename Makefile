@@ -1,14 +1,18 @@
-# Development targets. `make check` is the full gate: vet, build, the race
-# suite, the parallel-determinism differential suite, and a replay of the
-# corrupt-input fuzz seed corpora.
+# Development targets. `make check` is the full gate: gofmt, vet, build, the
+# race suite, the parallel-determinism differential suite, and a replay of
+# the corrupt-input fuzz seed corpora.
 GO ?= go
 
-.PHONY: all build vet lint test race determinism bench bench-fca bench-obs bench-streaming bench-lint memceiling profile fuzz-seeds fuzz check
+.PHONY: all build gofmt vet lint test race determinism bench bench-fca bench-obs bench-streaming memceiling profile fuzz-seeds fuzz check
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any.
+gofmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -17,10 +21,8 @@ vet:
 # every package in the module and proves the determinism/panic/concurrency
 # discipline at compile time (see DESIGN.md §9 and §14). Exits non-zero on
 # any unsuppressed diagnostic, including malformed //lint:allow directives.
-# .lintcache persists the interprocedural summary layer between runs, keyed
-# on each package's source hash — a no-change rerun skips the summary walk.
 lint:
-	$(GO) run ./cmd/difftracelint -summary-cache .lintcache ./...
+	$(GO) run ./cmd/difftracelint ./...
 
 test:
 	$(GO) test ./...
@@ -40,7 +42,7 @@ race:
 # the bitset FCA rewrite).
 determinism:
 	$(GO) test -race -short -count=2 \
-		-run 'Determinism|Workers|ParallelMatchesSequential|Ghost|Divergence|Query' \
+		-run 'Determinism|Workers|ParallelMatchesSequential|ParallelSweep|Ghost|Divergence|Query' \
 		./internal/core ./internal/jaccard ./internal/rank ./internal/obs \
 		./internal/experiments ./internal/resilience/chaos ./internal/service \
 		./internal/query ./internal/diffnlr \
@@ -115,19 +117,10 @@ bench-streaming:
 		-benchmem -benchtime=3x -timeout 1200s . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson -out BENCH_streaming.json $(BENCHJSON_FLAGS)
 
-# Lint-driver worker sweep over the full module (load once, then the check
-# fan-out at workers=1/2/4/8); regenerates the BENCH_lint.json baseline.
-# workers=1 is the pre-parallel driver, workers=GOMAXPROCS is what `make
-# lint` runs; the self-check proves every count emits identical output.
-bench-lint:
-	$(GO) test -run '^$$' -bench 'BenchmarkLint_' \
-		-benchtime=3x -timeout 1200s ./internal/lint/checks | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -out BENCH_lint.json $(BENCHJSON_FLAGS)
-
 # Streaming memory-ceiling proof: a 24M-event pair whose expansion is >=20x
 # the 8 MiB heap budget must analyze without the live heap ever crossing
 # it. Skipped under -short; CI runs it in its own job.
 memceiling:
 	$(GO) test -run 'TestStreamingMemoryCeiling' -count=1 -v -timeout 600s .
 
-check: vet build lint test race determinism fuzz-seeds memceiling
+check: gofmt vet build lint test race determinism fuzz-seeds memceiling

@@ -400,6 +400,10 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, d.Render(o.color))
 	}
+	if o.triage {
+		fmt.Fprintln(w)
+		writeTriage(w, flt, normal.(*trace.TraceSet), faulty.(*trace.TraceSet))
+	}
 	if div != nil {
 		fmt.Fprintln(w)
 		if err := div.Render(w); err != nil {

@@ -148,6 +148,28 @@ func TestRunTriageMode(t *testing.T) {
 	}
 }
 
+// TestRunTriageWithoutReport: -triage appends the companion analyses to the
+// summary view too, ahead of the divergence section, as it does in -report.
+func TestRunTriageWithoutReport(t *testing.T) {
+	normal, faulty := writePair(t)
+	var buf bytes.Buffer
+	err := run(&buf, options{normalPath: normal, faultyPath: faulty,
+		filterSpec: "11.mpiall.0K10", attrSpec: "sing.actual", linkageName: "ward",
+		top: 3, triage: true, findDivergence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"top thread suspects", "companion analyses", "STAT stack classes", "AutomaDeD", "relative progress"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary view with -triage is missing %q:\n%s", want, out)
+		}
+	}
+	if i, j := strings.Index(out, "companion analyses"), strings.Index(out, "divergence"); i < 0 || j < i {
+		t.Errorf("companion analyses should precede the divergence section (at %d and %d)", i, j)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	normal, faulty := writePair(t)
 	var buf bytes.Buffer

@@ -7,17 +7,12 @@
 //	go run ./cmd/difftracelint -why ./...     # text plus interprocedural call chains
 //	go run ./cmd/difftracelint -graph         # dump the module call graph and exit
 //	go run ./cmd/difftracelint -list          # registered checks and their invariants
-//	go run ./cmd/difftracelint -checks maprange,errwrap ./...
+//	go run ./cmd/difftracelint -checks orderflow,errwrap ./...
 //
 // The package pattern argument is accepted for familiarity but the tool
 // always analyzes the whole module: the invariants are module-wide (a naked
 // goroutine is a violation wherever it hides), and whole-module loading is
 // what lets the config table express "only internal/pool may do X".
-//
-// -workers bounds both the type-checking and the per-package check fan-out
-// (0 = GOMAXPROCS); any worker count yields identical output. -summary-cache
-// persists the interprocedural summary layer between runs, keyed on each
-// package's source hash.
 //
 // Exit codes: 0 clean, 1 unsuppressed diagnostics, 2 load/usage error.
 // Suppress a single finding with `//lint:allow check-name reason` on the
@@ -50,8 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sel := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list registered checks and exit")
 	dir := fs.String("C", ".", "directory whose enclosing module is analyzed")
-	workers := fs.Int("workers", 0, "parallel type-check/check workers (0 = GOMAXPROCS)")
-	cacheDir := fs.String("summary-cache", "", "directory persisting per-package interprocedural summaries across runs")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -77,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "difftracelint:", err)
 		return 2
 	}
-	pkgs, err := loader.LoadModuleWorkers(*workers)
+	pkgs, err := loader.LoadModule()
 	if err != nil {
 		fmt.Fprintln(stderr, "difftracelint:", err)
 		return 2
@@ -91,10 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	runner := lint.NewRunner(active, lint.ProjectConfig(), loader.ModRoot)
-	runner.Workers = *workers
-	runner.CacheDir = *cacheDir
-	diags := runner.Run(pkgs)
+	diags := lint.NewRunner(active, lint.ProjectConfig(), loader.ModRoot).Run(pkgs)
 
 	write := lint.WriteText
 	if *why {

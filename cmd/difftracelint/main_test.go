@@ -72,20 +72,3 @@ func TestGraphDump(t *testing.T) {
 		t.Fatal("-graph output is not deterministic across runs")
 	}
 }
-
-// TestSummaryCacheRuns: a second run against a warm -summary-cache produces
-// byte-identical diagnostics.
-func TestSummaryCacheRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks fixture modules from source; run without -short")
-	}
-	cache := t.TempDir()
-	code1, out1, _ := runLint(t, "-C", fixture("orderflow"), "-checks", "orderflow", "-summary-cache", cache)
-	code2, out2, _ := runLint(t, "-C", fixture("orderflow"), "-checks", "orderflow", "-summary-cache", cache)
-	if code1 != code2 || out1 != out2 {
-		t.Fatalf("cached run diverged: exit %d vs %d\n--- cold ---\n%s--- warm ---\n%s", code1, code2, out1, out2)
-	}
-	if code1 != 1 {
-		t.Fatalf("exit %d, want 1 (fixture has findings)", code1)
-	}
-}

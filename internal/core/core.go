@@ -212,7 +212,7 @@ func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet,
 }
 
 // DiffRunContext is DiffRun with cooperative cancellation: ctx is observed
-// at every stage boundary, between worker-pool claims (pool.DoContext) and
+// at every stage boundary, between worker-pool claims (pool.Do) and
 // every few thousand events an object reads, so a run can be cut short by
 // a caller-supplied deadline or cancellation. A cancelled run returns the
 // wrapped ctx error — cancellation always aborts, even under
@@ -285,7 +285,7 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 	w := cfg.workers()
 	levelW := pool.Divide(w, len(levels))
 	levelErrs := make([]error, len(levels))
-	poolErr := pool.DoObservedContext(ctx, run, "core.levels", w, len(levels), func(i int) {
+	poolErr := pool.Do(ctx, run, "core.levels", w, len(levels), func(i int) {
 		lv := levels[i]
 		if lv.dead {
 			lv.level = emptyLevel()
@@ -444,7 +444,7 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 		overlays := make([]*nlr.Table, len(items))
 		elems := make([][]nlr.Element, len(items))
 		roundErrs := make([]*resilience.StageError, len(items))
-		poolErr := pool.DoObservedContext(ctx, run, "core.summarize", w, len(items), func(i int) {
+		poolErr := pool.Do(ctx, run, "core.summarize", w, len(items), func(i int) {
 			it := items[i]
 			if it.side.nlrErrs[it.idx] != nil {
 				return // failed in an earlier round; stays skipped
@@ -512,7 +512,7 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 		}
 	}
 	run := cfg.Obs
-	attrErr := pool.DoObservedContext(ctx, run, "core.attr", w, len(items), func(i int) {
+	attrErr := pool.Do(ctx, run, "core.attr", w, len(items), func(i int) {
 		it := items[i]
 		o := it.side.objs[it.idx]
 		stage := lv.stage + "/" + it.side.name + "/attr"
@@ -573,7 +573,7 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 	sideW := pool.Divide(w, 2)
 	var analyses [2]*Analysis
 	sideErrs := make([]error, 2)
-	buildErr := pool.DoObservedContext(ctx, run, "core.sides", w, 2, func(i int) {
+	buildErr := pool.Do(ctx, run, "core.sides", w, 2, func(i int) {
 		sp := run.StartSpan("analyze/" + lv.key + "/" + lv.sides[i].name + "/build")
 		defer sp.End()
 		analyses[i], sideErrs[i] = lv.sides[i].buildAnalysis(cfg, interner, excluded, sideW)

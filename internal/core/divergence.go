@@ -125,7 +125,7 @@ func (r *Report) levelDivergence(ctx context.Context, name string, level *Level)
 	results := make([]*ObjectDivergence, len(objs))
 	degraded := make([]*resilience.StageError, len(objs))
 	stage := "divergence " + name
-	poolErr := pool.DoObservedContext(ctx, run, "core.divergence", r.Cfg.workers(), len(objs), func(i int) {
+	poolErr := pool.Do(ctx, run, "core.divergence", r.Cfg.workers(), len(objs), func(i int) {
 		o := objs[i]
 		walk := func() error {
 			d := diffnlr.FindDivergence(level.Normal.NLR[o], level.Faulty.NLR[o])

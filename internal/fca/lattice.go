@@ -30,7 +30,7 @@ func (c *Concept) String() string {
 // entry, so a hash collision can never merge two distinct concepts.
 type Lattice struct {
 	ctx      *Context
-	concepts []*Concept      // materialization order
+	concepts []*Concept       // materialization order
 	index    map[uint64][]int // intent signature -> indices into concepts
 
 	// sorted is the cached Concepts() view (extent size desc, then sorted

@@ -101,7 +101,7 @@ func (l *Lattice) AddObject(g string, intent Set) {
 	own := l.ctx.Intent(g)
 
 	snapshot := make([]*Concept, 0, len(l.concepts))
-	//lint:allow maprange frozen reference implementation: the modified/generator scans over this snapshot are commutative (ensure keys by intent signature), exactly as the original shipped
+	//lint:allow orderflow frozen reference implementation: the modified/generator scans over this snapshot are commutative (ensure keys by intent signature), exactly as the original shipped
 	for _, c := range l.concepts {
 		snapshot = append(snapshot, c)
 	}

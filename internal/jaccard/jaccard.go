@@ -59,7 +59,8 @@ func NewParallelObserved(attrs map[string]fca.AttrSet, workers int, r *obs.Run) 
 		m[i][i] = 1
 	}
 	r.Counter("jaccard.cells").Add(int64(len(names) * (len(names) - 1) / 2))
-	pool.DoObserved(r, "jaccard.rows", workers, len(names), func(i int) {
+	// A nil ctx is never cancelled, so Do runs every row and returns nil.
+	_ = pool.Do(nil, r, "jaccard.rows", workers, len(names), func(i int) {
 		row := attrs[names[i]]
 		for j := i + 1; j < len(names); j++ {
 			v := row.Jaccard(attrs[names[j]])

@@ -11,7 +11,6 @@ import (
 	"difftrace/internal/lint/checks/errwrap"
 	"difftrace/internal/lint/checks/expanddiscipline"
 	"difftrace/internal/lint/checks/lockdiscipline"
-	"difftrace/internal/lint/checks/maprange"
 	"difftrace/internal/lint/checks/nakedgoroutine"
 	"difftrace/internal/lint/checks/nilreceiver"
 	"difftrace/internal/lint/checks/obsdiscipline"
@@ -32,7 +31,6 @@ func All() []*lint.Check {
 		errwrap.Check,
 		expanddiscipline.Check,
 		lockdiscipline.Check,
-		maprange.Check,
 		nakedgoroutine.Check,
 		nilreceiver.Check,
 		obsdiscipline.Check,
@@ -42,7 +40,7 @@ func All() []*lint.Check {
 	}
 }
 
-// ByName resolves a comma-separated selection ("maprange,errwrap") against
+// ByName resolves a comma-separated selection ("orderflow,errwrap") against
 // the registry; unknown names return an error listing what exists.
 func ByName(names []string) ([]*lint.Check, error) {
 	byName := map[string]*lint.Check{}

@@ -3,7 +3,7 @@
 // API has a Context-accepting sibling right next to it.
 //
 // The module's convention pairs every cancellable operation with a legacy
-// entry point — Do/DoContext, DiffRun/DiffRunContext — where the bare name
+// entry point — DiffRun/DiffRunContext, Sweep/SweepContext — where the bare name
 // delegates to the Context variant with context.Background(). Calling the
 // bare name while holding a real ctx silently severs the cancellation
 // chain: the caller's deadline stops propagating exactly one frame down.

@@ -1,33 +1,13 @@
 package checks_test
 
-import (
-	"testing"
-
-	"difftrace/internal/lint"
-	"difftrace/internal/lint/checks"
-)
+import "testing"
 
 // TestDirectiveHygiene proves every //lint:allow in the module still
 // suppresses a live finding. A stale directive — one whose finding was fixed
 // or whose check stopped firing there — is a silent hole in the invariant it
 // was written against, so it fails the build until deleted.
 func TestDirectiveHygiene(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source (a few seconds); run without -short")
-	}
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := lint.NewRunner(checks.All(), lint.ProjectConfig(), loader.ModRoot)
-	diags, allows := runner.Audit(pkgs)
-	for _, d := range diags {
-		t.Errorf("unsuppressed finding: %s", d)
-	}
+	_, allows := auditModule(t)
 	if len(allows) == 0 {
 		t.Fatal("audit saw zero //lint:allow directives — the directive scan is broken (the module has several)")
 	}

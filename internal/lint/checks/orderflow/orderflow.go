@@ -1,10 +1,30 @@
-// Package orderflow is maprange's interprocedural successor: it tracks
-// map-iteration order through helper returns, struct fields, and channel
-// fields until it reaches an ordered sink, across function and package
-// boundaries.
+// Package orderflow proves the determinism invariant behind nlr.Table.Absorb
+// and the stable-JSON manifest: iterating a Go map yields a random order,
+// so map-iteration order must never reach an ordered sink — a printer, a
+// writer, an encoder, or a slice — unless it is sorted into a canonical
+// order first. It is the one check for that invariant, in the same function
+// and across function and package boundaries.
 //
-// maprange proves the local invariant — a range-over-map feeding a sink in
-// the same body. orderflow closes the loopholes that survive it:
+// In the function that ranges over the map, three shapes are flagged:
+//
+//	for k, v := range m { fmt.Fprintf(w, "%s=%d\n", k, v) } // writing sink in the range body
+//	for k := range m { keys = append(keys, k) }            // keys is never sorted here
+//	s := ""; for k := range m { s += k }; fmt.Println(s)     // a range key reaching a sink later
+//
+// A writing sink (fmt printing, Write*/Encode/Absorb methods) called inside
+// a map-range body is flagged whatever it writes, and a slice appended to
+// inside one is flagged unless the function passes it to sort.* or
+// slices.Sort* — returned, printed, or only iterated, its element order is
+// the map's. The collect-then-sort idiom
+//
+//	for k := range m { keys = append(keys, k) }
+//	sort.Strings(keys)
+//
+// is therefore clean, and so are commutative folds (sums, counters,
+// map-to-map copies), which have no ordered sink.
+//
+// Across functions, the check follows the order through the loopholes a
+// per-function view cannot see:
 //
 //	ks := helper.Keys(m)      // helper collects in range order
 //	fmt.Fprintf(w, "%v", ks)  // sink is two calls away
@@ -12,12 +32,11 @@
 //	c.hot = append(c.hot, k)  // taints a field inside the range
 //	fmt.Fprintln(w, c.hot)    // sink reads the field elsewhere
 //
-// The check consumes the summary layer's ORDER fixpoint: a flow is flagged
-// when its source — a module call's return, a struct field, or a channel
-// field — resolves to map-iteration order after closing over the whole
-// module. Flows whose source is a direct range in the same function are
-// maprange's domain and are not re-reported. Sorting before the sink
-// (sort.*, slices.Sort*, slices.Sorted) launders the taint.
+// It consumes the summary layer's ORDER fixpoint: a flow is flagged when
+// its source — direct map iteration, a module call's return, a struct
+// field, or a channel field — resolves to map-iteration order after
+// closing over the whole module. Sorting before the sink (sort.*,
+// slices.Sort*, slices.Sorted) launders the taint.
 package orderflow
 
 import (
@@ -29,7 +48,7 @@ import (
 // Check is the registered orderflow analyzer.
 var Check = &lint.Check{
 	Name:      "orderflow",
-	Doc:       "map-iteration order must not reach an ordered sink through helper returns, fields, or channels",
+	Doc:       "map-iteration order must not reach an ordered sink (printer, writer, unsorted slice) directly or through helper returns, fields, or channels",
 	RunModule: run,
 }
 
@@ -38,9 +57,6 @@ func run(mp *lint.ModulePass) {
 	s := summary.For(mp)
 	for _, ps := range s.Pkgs {
 		for _, f := range ps.SinkFlows {
-			if f.Source == "range" {
-				continue // same-function range-to-sink: maprange's finding
-			}
 			if !s.ResolveUnordered(f.Source) {
 				continue
 			}

@@ -5,7 +5,7 @@
 //
 // Each check proves, at compile time, an invariant a prior PR could only
 // test by sampling at runtime: byte-identical reports at any worker count
-// (maprange, wallclock, nakedgoroutine), degraded-not-dead error handling
+// (orderflow, wallclock, nakedgoroutine), degraded-not-dead error handling
 // (panicdiscipline, errwrap), and the nil-off observability contract
 // (nilreceiver). See DESIGN.md §9 for the invariant ledger.
 //
@@ -33,8 +33,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"difftrace/internal/pool"
 )
 
 // Diagnostic is one finding, positioned in module-relative coordinates so
@@ -59,8 +57,6 @@ func (d Diagnostic) String() string {
 // RunModule is set: Run is invoked once per loaded package (syntactic
 // checks), RunModule once per module with every package loaded
 // (interprocedural checks that compose call-graph and summary facts).
-// Run implementations must be safe to call concurrently for different
-// packages — the driver fans packages out across internal/pool workers.
 type Check struct {
 	Name      string // stable kebab-free identifier, used in directives and JSON
 	Doc       string // one-line invariant statement (shown by difftracelint -list)
@@ -129,15 +125,9 @@ type allowDirective struct {
 
 // Runner executes a set of checks over loaded packages under one config.
 type Runner struct {
-	Checks []*Check
-	Config *Config
-	// Workers bounds the per-package fan-out (0 = GOMAXPROCS). Diagnostics
-	// are sorted before emit, so any worker count yields identical output.
-	Workers int
-	// CacheDir, when set, persists the interprocedural summary layer across
-	// runs keyed on each package's source hash (see internal/lint/summary).
-	CacheDir string
-	relRoot  string // absolute dir that diagnostics are relativized against
+	Checks  []*Check
+	Config  *Config
+	relRoot string // absolute dir that diagnostics are relativized against
 }
 
 // NewRunner builds a runner; relRoot (usually the module root) anchors the
@@ -153,12 +143,8 @@ func NewRunner(checks []*Check, config *Config, relRoot string) *Runner {
 // Run analyzes every package and returns the surviving diagnostics sorted
 // by (file, line, col, check, message). Suppressed findings are dropped;
 // malformed or unused //lint:allow directives come back as baddirective
-// findings.
-//
-// Per-package checks fan out across internal/pool workers (each package
-// reports into its own slot, so no two goroutines share a diagnostic
-// slice); module-scoped checks then run once over the full package set.
-// The final sort makes the output byte-identical at any worker count.
+// findings. Per-package checks run package by package; module-scoped
+// checks then run once over the full package set.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	diags, _ := r.run(pkgs)
 	return diags
@@ -203,37 +189,23 @@ func (r *Runner) run(pkgs []*Package) ([]Diagnostic, []*allowDirective) {
 			perPkg = append(perPkg, c)
 		}
 	}
-	type slot struct {
-		diags  []Diagnostic
-		allows []*allowDirective
-	}
-	slots := make([]slot, len(pkgs))
-	pool.Do(pool.Workers(r.Workers), len(pkgs), func(i int) {
-		pkg := pkgs[i]
-		slots[i].allows = r.collectAllows(pkg)
-		rel := r.relPkgPath(pkg)
-		for _, c := range perPkg {
-			if !r.applies(c.Name, rel) {
-				continue
-			}
-			pass := &Pass{Pkg: pkg, Check: c, runner: r, out: &slots[i].diags}
-			c.Run(pass)
-		}
-	})
 	var diags []Diagnostic
 	var allows []*allowDirective
-	for i := range slots {
-		diags = append(diags, slots[i].diags...)
-		allows = append(allows, slots[i].allows...)
+	for _, pkg := range pkgs {
+		allows = append(allows, r.collectAllows(pkg)...)
+		rel := r.relPkgPath(pkg)
+		for _, c := range perPkg {
+			if r.applies(c.Name, rel) {
+				c.Run(&Pass{Pkg: pkg, Check: c, runner: r, out: &diags})
+			}
+		}
 	}
 	if len(modChecks) > 0 && len(pkgs) > 0 {
 		mp := &ModulePass{
-			Pkgs:     pkgs,
-			Facts:    make(map[string]any),
-			CacheDir: r.CacheDir,
-			Workers:  r.Workers,
-			runner:   r,
-			out:      &diags,
+			Pkgs:   pkgs,
+			Facts:  make(map[string]any),
+			runner: r,
+			out:    &diags,
 		}
 		for _, c := range modChecks {
 			mp.Check = c

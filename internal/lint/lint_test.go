@@ -20,7 +20,7 @@ func TestAppliesTables(t *testing.T) {
 		{"wallclock", "internal/core", true},
 		{"nilreceiver", "internal/obs", true},
 		{"nilreceiver", "internal/core", false},
-		{"maprange", "anything", true}, // absent from both tables: runs everywhere
+		{"orderflow", "anything", true}, // absent from both tables: runs everywhere
 	}
 	for _, c := range cases {
 		if got := r.applies(c.check, c.rel); got != c.want {
@@ -30,8 +30,8 @@ func TestAppliesTables(t *testing.T) {
 }
 
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{File: "internal/core/run.go", Line: 42, Col: 3, Check: "maprange", Message: "boom"}
-	if got, want := d.String(), "internal/core/run.go:42: [maprange] boom"; got != want {
+	d := Diagnostic{File: "internal/core/run.go", Line: 42, Col: 3, Check: "orderflow", Message: "boom"}
+	if got, want := d.String(), "internal/core/run.go:42: [orderflow] boom"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -59,6 +59,26 @@ func RunModule(t *testing.T, check *lint.Check, fixtureDir string) {
 	matchWants(t, fixtureDir, files, diags)
 }
 
+// RunModuleFiles is RunModule narrowed to the named files (slash-separated,
+// relative to fixtureDir): the whole module is loaded and checked, but only
+// those files' diagnostics and want comments are reconciled.
+func RunModuleFiles(t *testing.T, check *lint.Check, fixtureDir string, names ...string) {
+	t.Helper()
+	keep := make(map[string]bool, len(names))
+	files := make([]string, 0, len(names))
+	for _, name := range names {
+		keep[name] = true
+		files = append(files, filepath.Join(fixtureDir, filepath.FromSlash(name)))
+	}
+	var diags []lint.Diagnostic
+	for _, d := range ModuleDiagnostics(t, []*lint.Check{check}, fixtureDir) {
+		if keep[d.File] {
+			diags = append(diags, d)
+		}
+	}
+	matchWants(t, fixtureDir, files, diags)
+}
+
 // matchWants scans want comments out of files (named relative to root, the
 // way diagnostics are) and reconciles them against diags: every diagnostic
 // needs a matching want on its line, every want needs a diagnostic.

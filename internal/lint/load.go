@@ -2,15 +2,8 @@
 // the module are discovered by walking the tree, parsed with go/parser, and
 // type-checked with go/types; imports resolve through a shim that checks
 // module-internal packages recursively from source and delegates everything
-// else (the standard library) to go/importer's source importer.
-//
-// Loading is safe for concurrent use: each package is guarded by a
-// sync.Once-backed entry, so LoadModuleWorkers can type-check independent
-// import subtrees on internal/pool workers while dependencies are still
-// checked exactly once. The shared FileSet is concurrency-safe by contract;
-// the standard-library source importer is not documented as such, so its
-// calls serialize behind a mutex (each std package is only checked once and
-// memoized, so the serialization cost amortizes away).
+// else (the standard library) to go/importer's source importer. Loading is
+// serial and memoized: each package is checked once per Loader.
 package lint
 
 import (
@@ -25,9 +18,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-
-	"difftrace/internal/pool"
 )
 
 // Package is one loaded, type-checked package: syntax plus types, which is
@@ -50,20 +40,8 @@ type Loader struct {
 	ModRoot string
 	ModPath string
 
-	std   types.ImporterFrom
-	stdMu sync.Mutex // the source importer is not concurrency-safe
-
-	mu      sync.Mutex
-	entries map[string]*loadEntry
-}
-
-// loadEntry is the once-guarded slot for one package: the first goroutine
-// to reach a path performs the load, every other goroutine blocks on the
-// Once and then reads the settled result.
-type loadEntry struct {
-	once sync.Once
-	pkg  *Package
-	err  error
+	std  types.ImporterFrom
+	pkgs map[string]*Package // loaded packages by import path
 }
 
 // NewLoader roots a loader at the module containing dir (found by walking
@@ -79,7 +57,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModRoot: root,
 		ModPath: modPath,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		entries: make(map[string]*loadEntry),
+		pkgs:    make(map[string]*Package),
 	}, nil
 }
 
@@ -106,18 +84,10 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// LoadModule loads every package in the module serially, sorted by import
-// path. Directories named testdata, vendor, hidden, or underscore-prefixed
-// are skipped, matching the go tool's matching rules for "./...".
+// LoadModule loads every package in the module, sorted by import path.
+// Directories named testdata, vendor, hidden, or underscore-prefixed are
+// skipped, matching the go tool's matching rules for "./...".
 func (l *Loader) LoadModule() ([]*Package, error) {
-	return l.LoadModuleWorkers(1)
-}
-
-// LoadModuleWorkers is LoadModule with the package-level type-checking
-// fanned out across internal/pool workers (0 = GOMAXPROCS). The result is
-// identical to the serial load — same packages, same order, same type
-// universe — only the wall time changes.
-func (l *Loader) LoadModuleWorkers(workers int) ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -140,20 +110,17 @@ func (l *Loader) LoadModuleWorkers(workers int) ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	pkgs := make([]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	pool.Do(pool.Workers(workers), len(dirs), func(i int) {
-		dir := dirs[i]
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
 		path := l.ModPath
 		if rel, err := filepath.Rel(l.ModRoot, dir); err == nil && rel != "." {
 			path = l.ModPath + "/" + filepath.ToSlash(rel)
 		}
-		pkgs[i], errs[i] = l.load(path, dir, l.ModPath, nil)
-	})
-	for _, err := range errs {
+		pkg, err := l.load(path, dir, l.ModPath, nil)
 		if err != nil {
 			return nil, err
 		}
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
@@ -187,33 +154,24 @@ func (l *Loader) goFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// entry returns path's once-guarded slot, creating it on first sight.
-func (l *Loader) entry(path string) *loadEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.entries[path]
-	if !ok {
-		e = &loadEntry{}
-		l.entries[path] = e
-	}
-	return e
-}
-
 // load parses and type-checks one package directory, memoized by path.
-// stack is the current goroutine's in-progress import chain: re-entering a
-// path already on it is an import cycle, detected before the Once would
-// self-deadlock.
+// stack is the in-progress import chain: re-entering a path already on it
+// is an import cycle.
 func (l *Loader) load(path, dir, modPath string, stack []string) (*Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
 	for _, s := range stack {
 		if s == path {
 			return nil, fmt.Errorf("lint: import cycle through %s", path)
 		}
 	}
-	e := l.entry(path)
-	e.once.Do(func() {
-		e.pkg, e.err = l.doLoad(path, dir, modPath, append(stack, path))
-	})
-	return e.pkg, e.err
+	pkg, err := l.doLoad(path, dir, modPath, append(stack, path))
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }
 
 func (l *Loader) doLoad(path, dir, modPath string, stack []string) (*Package, error) {
@@ -281,7 +239,5 @@ func (s *shimImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.ImportFrom(path, srcDir, mode)
 }

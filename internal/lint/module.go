@@ -14,8 +14,8 @@ import (
 )
 
 // ModulePass hands one (check, module) unit of work its inputs and its
-// reporter. Module checks run sequentially after the per-package fan-out,
-// so ModulePass needs no internal locking.
+// reporter. Module checks run one after another, after the per-package
+// checks.
 type ModulePass struct {
 	Pkgs  []*Package
 	Check *Check
@@ -24,14 +24,6 @@ type ModulePass struct {
 	// Keys are owned by the producing package ("callgraph", "summary");
 	// use Fact for the build-once pattern.
 	Facts map[string]any
-
-	// CacheDir, when non-empty, is where the summary layer persists
-	// per-package summaries between runs (Runner.CacheDir).
-	CacheDir string
-
-	// Workers is the fan-out budget engine layers may use for their own
-	// per-package work (Runner.Workers; 0 = GOMAXPROCS).
-	Workers int
 
 	runner *Runner
 	out    *[]Diagnostic

@@ -2,8 +2,8 @@
 // simultaneously tracks order-taint (which locals carry map-iteration
 // order), the lexical lock set (which receiver mutexes are held), atomic
 // field uses, context forwarding, and module call sites. The walk is
-// per-package and self-contained, so packages build in parallel and cache
-// independently; everything cross-package is deferred to the Set fixpoints.
+// per-package and self-contained; everything cross-package is deferred to
+// the Set fixpoints.
 //
 // Known, deliberate approximations:
 //   - taint is field-based (one tainted instance taints the field key
@@ -370,6 +370,19 @@ type funcWalker struct {
 	skip     map[ast.Node]bool     // selectors consumed by atomic ops
 	funIdent map[*ast.Ident]bool
 	litN     int
+
+	// mapRange is the innermost map range enclosing the walk position;
+	// rangeAppends records x = append(x, ...) under one, and sorted the
+	// objects handed to a sort, for the never-sorted-slice rule.
+	mapRange     *ast.RangeStmt
+	rangeAppends []rangeAppend
+	sorted       map[types.Object]bool
+}
+
+// rangeAppend is one slice built element by element inside a map range.
+type rangeAppend struct {
+	slice types.Object
+	rng   *ast.RangeStmt
 }
 
 // walkFunc simulates one function-like body. held seeds the lexical lock
@@ -389,6 +402,7 @@ func (b *pkgBuilder) walkFunc(key string, sig *types.Signature, body *ast.BlockS
 		writes:   make(map[ast.Node]bool),
 		skip:     make(map[ast.Node]bool),
 		funIdent: make(map[*ast.Ident]bool),
+		sorted:   make(map[types.Object]bool),
 	}
 	if params := sig.Params(); params != nil {
 		for i := 0; i < params.Len(); i++ {
@@ -414,6 +428,7 @@ func (b *pkgBuilder) walkFunc(key string, sig *types.Signature, body *ast.BlockS
 	}
 	b.ps.Funcs = append(b.ps.Funcs, fs)
 	w.walk(body)
+	w.unsortedAppends()
 	for _, h := range w.held {
 		if !h.deferred {
 			fs.LocksAtExit = appendUnique(fs.LocksAtExit, h.key)
@@ -466,7 +481,10 @@ func (w *funcWalker) walk(body ast.Node) {
 				w.markWrite(x.X)
 			}
 		case *ast.RangeStmt:
-			w.handleRange(x)
+			if w.handleRange(x) {
+				w.walkMapRange(x)
+				return false
+			}
 		case *ast.SendStmt:
 			w.handleSend(x)
 		case *ast.ReturnStmt:
@@ -480,6 +498,40 @@ func (w *funcWalker) walk(body ast.Node) {
 		}
 		return true
 	})
+}
+
+// walkMapRange walks a map range with the loop as the innermost map range,
+// so sinks and appends in its body are attributed to map order.
+func (w *funcWalker) walkMapRange(r *ast.RangeStmt) {
+	for _, e := range []ast.Expr{r.Key, r.Value, r.X} {
+		if e != nil {
+			w.walk(e)
+		}
+	}
+	outer := w.mapRange
+	w.mapRange = r
+	w.walk(r.Body)
+	w.mapRange = outer
+}
+
+// unsortedAppends records, once the whole body is walked, every slice
+// appended to inside a map range and never sorted in this function: its
+// element order is the map's, whether it is returned, printed, or only
+// iterated here. The flow is placed at the innermost enclosing range.
+func (w *funcWalker) unsortedAppends() {
+	seen := make(map[rangeAppend]bool)
+	for _, ra := range w.rangeAppends {
+		if w.sorted[ra.slice] || seen[ra] {
+			continue
+		}
+		seen[ra] = true
+		w.b.ps.SinkFlows = append(w.b.ps.SinkFlows, SinkFlow{
+			Source: "range",
+			Sink:   fmt.Sprintf("slice %q (never sorted in this function)", ra.slice.Name()),
+			Fn:     w.fs.Key,
+			Pos:    w.b.pos(ra.rng.Pos()),
+		})
+	}
 }
 
 // snapshot deep-copies the lexical lock set so a branch can be simulated
@@ -778,28 +830,27 @@ func (w *funcWalker) handleCall(call *ast.CallExpr) {
 		return
 	}
 
-	// sort.Sort/slices.Sort and friends mutate their argument into a
-	// deterministic order: launder the argument's taint.
-	if (pkgPath == "sort" || pkgPath == "slices") && strings.HasPrefix(fn.Name(), "Sort") &&
-		!strings.HasPrefix(fn.Name(), "Sorted") {
+	// sort.* and slices.Sort* put their arguments into a deterministic
+	// order: launder their taint, and count every object they mention as
+	// sorted for the never-sorted-slice rule.
+	if pkgPath == "sort" || (pkgPath == "slices" && strings.HasPrefix(fn.Name(), "Sort") &&
+		!strings.HasPrefix(fn.Name(), "Sorted")) {
 		for _, a := range call.Args {
 			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
 				if obj := w.b.pkg.Info.Uses[id]; obj != nil {
 					delete(w.taint, obj)
 				}
 			}
+			ast.Inspect(a, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := w.b.pkg.Info.Uses[id]; obj != nil {
+						w.sorted[obj] = true
+					}
+				}
+				return true
+			})
 		}
 		return
-	}
-	// sort.Strings(ks), sort.Slice(ks, less), sort.Ints — same laundering.
-	if pkgPath == "sort" {
-		for _, a := range call.Args {
-			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-				if obj := w.b.pkg.Info.Uses[id]; obj != nil {
-					delete(w.taint, obj)
-				}
-			}
-		}
 	}
 
 	if w.b.idx.loaded[pkgPath] {
@@ -824,9 +875,23 @@ func (w *funcWalker) handleCall(call *ast.CallExpr) {
 		}
 	}
 
-	if desc := sinkName(fn); desc != "" {
+	if desc, writes := sinkName(fn); desc != "" {
+		// A writing sink inside a map range emits in map order whatever
+		// its arguments are; that one flow stands for their range sources.
+		inRange := writes && w.mapRange != nil
+		if inRange {
+			w.b.ps.SinkFlows = append(w.b.ps.SinkFlows, SinkFlow{
+				Source: "range",
+				Sink:   desc,
+				Fn:     w.fs.Key,
+				Pos:    w.b.pos(call.Pos()),
+			})
+		}
 		for _, a := range call.Args {
 			for _, src := range sortedRefs(w.exprSources(a)) {
+				if inRange && src == "range" {
+					continue
+				}
 				w.b.ps.SinkFlows = append(w.b.ps.SinkFlows, SinkFlow{
 					Source: src,
 					Sink:   desc,
@@ -890,6 +955,13 @@ func (w *funcWalker) handleIdent(id *ast.Ident) {
 }
 
 func (w *funcWalker) handleAssign(a *ast.AssignStmt) {
+	if w.mapRange != nil {
+		for i, rhs := range a.Rhs {
+			if id, ok := a.Lhs[i].(*ast.Ident); ok && w.isAppend(rhs) && w.objectOf(id) != nil {
+				w.rangeAppends = append(w.rangeAppends, rangeAppend{w.objectOf(id), w.mapRange})
+			}
+		}
+	}
 	srcs := make([]map[string]bool, len(a.Lhs))
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
 		s := w.exprSources(a.Rhs[0])
@@ -910,10 +982,7 @@ func (w *funcWalker) handleAssign(a *ast.AssignStmt) {
 			if x.Name == "_" {
 				continue
 			}
-			obj := w.b.pkg.Info.Defs[x]
-			if obj == nil {
-				obj = w.b.pkg.Info.Uses[x]
-			}
+			obj := w.objectOf(x)
 			if obj == nil || !orderable(obj.Type()) {
 				continue
 			}
@@ -952,15 +1021,18 @@ func (w *funcWalker) handleAssign(a *ast.AssignStmt) {
 	}
 }
 
-func (w *funcWalker) handleRange(r *ast.RangeStmt) {
+// handleRange seeds the loop variables' taint and reports whether the loop
+// ranges over a map.
+func (w *funcWalker) handleRange(r *ast.RangeStmt) (overMap bool) {
 	t := w.b.pkg.Info.TypeOf(r.X)
 	if t == nil {
-		return
+		return false
 	}
 	var seed map[string]bool
 	switch t.Underlying().(type) {
 	case *types.Map:
 		seed = map[string]bool{"range": true}
+		overMap = true
 	case *types.Chan:
 		if sel, ok := ast.Unparen(r.X).(*ast.SelectorExpr); ok {
 			if fv := w.b.fieldOf(sel); fv != nil {
@@ -980,14 +1052,11 @@ func (w *funcWalker) handleRange(r *ast.RangeStmt) {
 		if !ok || id.Name == "_" {
 			continue
 		}
-		obj := w.b.pkg.Info.Defs[id]
-		if obj == nil {
-			obj = w.b.pkg.Info.Uses[id]
-		}
-		if obj != nil && orderable(obj.Type()) {
+		if obj := w.objectOf(id); obj != nil && orderable(obj.Type()) {
 			w.taint[obj] = copySet(seed)
 		}
 	}
+	return overMap
 }
 
 func (w *funcWalker) handleSend(s *ast.SendStmt) {
@@ -1045,11 +1114,7 @@ func (w *funcWalker) handleReturn(r *ast.ReturnStmt) {
 func (w *funcWalker) exprSources(e ast.Expr) map[string]bool {
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := w.b.pkg.Info.Uses[x]
-		if obj == nil {
-			obj = w.b.pkg.Info.Defs[x]
-		}
-		return w.taint[obj]
+		return w.taint[w.objectOf(x)]
 	case *ast.SelectorExpr:
 		if fv := w.b.fieldOf(x); fv != nil {
 			return map[string]bool{"field:" + w.b.idx.fieldKey[fv]: true}
@@ -1145,8 +1210,11 @@ func (w *funcWalker) mergeTaint(obj types.Object, srcs map[string]bool) {
 }
 
 // sinkName classifies a callee as an ordered sink: a point where element
-// order becomes observable output.
-func sinkName(fn *types.Func) string {
+// order becomes observable output. writes reports whether the call itself
+// emits (fmt printing, Write*/Encode/Absorb methods), so that calling it
+// in map order leaks that order whatever it is handed; a marshaller only
+// preserves the order of the value it encodes.
+func sinkName(fn *types.Func) (desc string, writes bool) {
 	name := fn.Name()
 	pkgPath := ""
 	if fn.Pkg() != nil {
@@ -1155,20 +1223,42 @@ func sinkName(fn *types.Func) string {
 	if pkgPath == "fmt" {
 		switch name {
 		case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
-			return "fmt." + name
+			return "fmt." + name, true
 		}
-		return ""
+		return "", false
 	}
 	if pkgPath == "encoding/json" && (name == "Marshal" || name == "MarshalIndent") {
-		return "json." + name
+		return "json." + name, false
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		switch name {
 		case "Write", "WriteString", "WriteByte", "WriteRune", "Encode", "Absorb":
-			return fn.FullName()
+			return fn.FullName(), true
 		}
 	}
-	return ""
+	return "", false
+}
+
+// isAppend reports whether e calls the append builtin, not a shadowing
+// declaration.
+func (w *funcWalker) isAppend(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" {
+		return false
+	}
+	_, ok = w.b.pkg.Info.Uses[id].(*types.Builtin)
+	return ok
+}
+
+func (w *funcWalker) objectOf(id *ast.Ident) types.Object {
+	if obj := w.b.pkg.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return w.b.pkg.Info.Defs[id]
 }
 
 // orderable reports whether a value of this type can carry element order
@@ -1257,4 +1347,3 @@ func dedup(s []string) []string {
 	}
 	return out
 }
-

@@ -1,14 +1,12 @@
 // Package summary computes difftracelint's per-function summaries: for
 // every function, method, and function literal in the module, a small
-// serializable record of the facts the interprocedural checks compose —
-// whether its returns carry map-iteration order, which context parameter it
-// accepts and whether it forwards it, which mutexes it still holds at exit,
-// and which struct fields it touches under which locks.
+// record of the facts the interprocedural checks compose — whether its
+// returns carry map-iteration order, which context parameter it accepts
+// and whether it forwards it, which mutexes it still holds at exit, and
+// which struct fields it touches under which locks.
 //
-// Summaries are built per package (fanned out across internal/pool
-// workers), optionally persisted to a JSON disk cache keyed on a
-// dependency-aware source hash, and then closed under two module-wide
-// fixpoints:
+// Summaries are built package by package and then closed under two
+// module-wide fixpoints:
 //
 //   - ORDER: a function is "unordered" when its returns depend on map
 //     iteration directly or through any chain of module calls, tainted
@@ -20,8 +18,8 @@
 //
 // The analysis is field-based, not instance-based: taint and lock facts
 // attach to "pkg/path.Type.field" keys, so one tainted instance taints the
-// field everywhere. That over-approximation keeps summaries composable and
-// serializable; checks temper it with reachability and majority votes.
+// field everywhere. That over-approximation keeps summaries composable;
+// checks temper it with reachability and majority votes.
 package summary
 
 import (
@@ -31,11 +29,10 @@ import (
 	"unicode/utf8"
 
 	"difftrace/internal/lint"
-	"difftrace/internal/pool"
 )
 
-// Pos is a module-relative source position, stable across machines so
-// cached summaries diff cleanly.
+// Pos is a module-relative source position, the coordinate diagnostics
+// are reported at.
 type Pos struct {
 	File string
 	Line int
@@ -56,18 +53,18 @@ type FuncSummary struct {
 	CtxParam       int      // index of the context.Context parameter, -1 if none
 	ForwardsCtx    bool     // passes its ctx parameter onward at least once
 	UnorderedLocal bool     // returns map-iteration-ordered data directly
-	ReturnDeps     []string `json:",omitempty"` // source refs its returns depend on
-	LocksAtExit    []string `json:",omitempty"` // receiver mutexes still held on return
-	Constructs     []string `json:",omitempty"` // struct keys appearing in its results
-	CallsNoCtx     []CallNoCtx `json:",omitempty"`
+	ReturnDeps     []string // source refs its returns depend on
+	LocksAtExit    []string // receiver mutexes still held on return
+	Constructs     []string // struct keys appearing in its results
+	CallsNoCtx     []CallNoCtx
 }
 
 // FieldAccess is one plain (non-atomic) access to a field of a
 // mutex-carrying or atomically-used struct.
 type FieldAccess struct {
-	Field string   // "pkg/path.Type.field"
+	Field string // "pkg/path.Type.field"
 	Write bool
-	Held  []string `json:",omitempty"` // mutex keys held at the access, same base
+	Held  []string // mutex keys held at the access, same base
 	Fn    string   // containing function key
 	Pos   Pos
 }
@@ -80,7 +77,11 @@ type AtomicUse struct {
 }
 
 // SinkFlow records order-tainted data reaching an ordered sink (an output,
-// a hash, an encoder) inside one function.
+// a hash, an encoder) inside one function. Source "range" is map iteration
+// in the same function: a range key or value reaching the sink, a writing
+// sink called inside a map-range body whatever it writes, or a slice
+// appended to inside one and never sorted in the function (Sink then
+// names the slice).
 type SinkFlow struct {
 	Source string // "range" | "call:K" | "field:F" | "chan:F"
 	Sink   string // human-readable sink name, e.g. "fmt.Fprintf"
@@ -104,7 +105,7 @@ type TaintAssign struct {
 type CallSite struct {
 	Caller string
 	Callee string
-	Held   []string `json:",omitempty"`
+	Held   []string
 }
 
 // MutexStruct describes a struct type that embeds at least one named
@@ -112,23 +113,21 @@ type CallSite struct {
 type MutexStruct struct {
 	Type    string   // "pkg/path.Type"
 	Mutexes []string // mutex field keys
-	Fields  []string `json:",omitempty"` // sibling data field keys
+	Fields  []string // sibling data field keys
 }
 
-// PkgSummary is everything the walker extracted from one package. It is
-// the unit of disk caching.
+// PkgSummary is everything the walker extracted from one package.
 type PkgSummary struct {
 	Path string
 	Rel  string // module-relative package dir, the Exempt/Only coordinate
-	Hash string `json:",omitempty"`
 
 	Funcs        []*FuncSummary
-	Accesses     []FieldAccess `json:",omitempty"`
-	Atomics      []AtomicUse   `json:",omitempty"`
-	MutexStructs []MutexStruct `json:",omitempty"`
-	SinkFlows    []SinkFlow    `json:",omitempty"`
-	TaintAssigns []TaintAssign `json:",omitempty"`
-	CallSites    []CallSite    `json:",omitempty"`
+	Accesses     []FieldAccess
+	Atomics      []AtomicUse
+	MutexStructs []MutexStruct
+	SinkFlows    []SinkFlow
+	TaintAssigns []TaintAssign
+	CallSites    []CallSite
 }
 
 // Set is the module-wide collection of package summaries plus the two
@@ -148,33 +147,13 @@ func For(mp *lint.ModulePass) *Set {
 	return mp.Fact("summary", func() any { return Build(mp) }).(*Set)
 }
 
-// Build computes summaries for every loaded package — from the disk cache
-// when mp.CacheDir is set and the dependency-aware hash matches, walking
-// the syntax otherwise — and closes the module fixpoints.
+// Build walks every loaded package and closes the module fixpoints.
 func Build(mp *lint.ModulePass) *Set {
 	idx := buildIndex(mp.Pkgs)
-	var hashes map[string]string
-	if mp.CacheDir != "" {
-		hashes = computeHashes(mp.Pkgs)
+	s := &Set{Pkgs: make([]*PkgSummary, len(mp.Pkgs))}
+	for i, pkg := range mp.Pkgs {
+		s.Pkgs[i] = buildPkg(mp, pkg, idx)
 	}
-	out := make([]*PkgSummary, len(mp.Pkgs))
-	pool.Do(pool.Workers(mp.Workers), len(mp.Pkgs), func(i int) {
-		pkg := mp.Pkgs[i]
-		h := hashes[pkg.Path]
-		if mp.CacheDir != "" {
-			if ps, ok := loadCached(cacheFile(mp.CacheDir, pkg.Path), h); ok {
-				out[i] = ps
-				return
-			}
-		}
-		ps := buildPkg(mp, pkg, idx)
-		ps.Hash = h
-		if mp.CacheDir != "" {
-			storeCached(cacheFile(mp.CacheDir, pkg.Path), ps)
-		}
-		out[i] = ps
-	})
-	s := &Set{Pkgs: out}
 	s.finish()
 	return s
 }

@@ -1,7 +1,6 @@
 package summary_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -260,55 +259,5 @@ func TestAtomicAndCtxFacts(t *testing.T) {
 	good := s.Func("sm.RunGood")
 	if good == nil || !good.ForwardsCtx || len(good.CallsNoCtx) != 0 {
 		t.Errorf("RunGood forwards ctx; got %+v", good)
-	}
-}
-
-func TestDiskCacheRoundTrip(t *testing.T) {
-	root := writeModule(t, testModule())
-	cacheDir := filepath.Join(t.TempDir(), "lintcache")
-
-	mp := passFor(t, root)
-	mp.CacheDir = cacheDir
-	first := summary.Build(mp)
-
-	ents, err := os.ReadDir(cacheDir)
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("cache dir not populated: %v (%d entries)", err, len(ents))
-	}
-
-	mp2 := passFor(t, root)
-	mp2.CacheDir = cacheDir
-	second := summary.Build(mp2)
-
-	a, err := json.Marshal(first.Pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(second.Pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Error("cache round-trip changed the summary set")
-	}
-	if !second.Unordered("sm/order.Keys") {
-		t.Error("fixpoints lost after loading from cache")
-	}
-
-	// Touch a file: its package and its importers must rebuild, and the
-	// facts must still hold.
-	orderFile := filepath.Join(root, "order", "order.go")
-	data, err := os.ReadFile(orderFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(orderFile, append(data, []byte("\n// touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mp3 := passFor(t, root)
-	mp3.CacheDir = cacheDir
-	third := summary.Build(mp3)
-	if !third.Unordered("sm/order.Keys") {
-		t.Error("facts lost after cache invalidation")
 	}
 }

@@ -1,5 +1,5 @@
 // External test package: the concurrency tests drive obs through
-// pool.DoObserved, and pool imports obs, so an internal test package would
+// pool.Do, and pool imports obs, so an internal test package would
 // cycle.
 package obs_test
 
@@ -120,14 +120,14 @@ func TestScrub(t *testing.T) {
 }
 
 // TestObsUnderPoolWorkers drives spans, counters, and histograms from
-// pool.DoObserved workers at Workers:8 — the -race proof that concurrent
+// pool.Do workers at Workers:8 — the -race proof that concurrent
 // instrumentation is safe — and checks the resulting manifest is exactly
 // what a sequential run produces.
 func TestObsUnderPoolWorkers(t *testing.T) {
 	const items = 200
 	build := func(workers int) *obs.Manifest {
 		r := obs.NewRun("test")
-		pool.DoObserved(r, "test.site", workers, items, func(i int) {
+		pool.Do(nil, r, "test.site", workers, items, func(i int) {
 			sp := r.StartSpan("work/item")
 			r.Counter("work.count").Add(1)
 			r.Histogram("work.size").Observe(int64(i))

@@ -38,35 +38,35 @@ type family struct {
 // helpCatalog documents the metrics operators will actually dashboard.
 // Families not listed fall back to a generic line naming the obs metric.
 var helpCatalog = map[string]string{
-	"service.admitted":           "Jobs accepted into the queue.",
-	"service.rejected_full":      "Submissions rejected because the queue was full.",
-	"service.rejected_draining":  "Submissions rejected during drain.",
-	"service.cache_hits":         "Submissions answered from the artifact store.",
-	"service.dedup_joined":       "Submissions joined onto an identical in-flight job.",
-	"service.jobs_done":          "Jobs that completed successfully.",
-	"service.jobs_failed":        "Jobs that exhausted retries or hit a fatal error.",
-	"service.queue_len":          "Jobs currently queued (admission gauge).",
-	"service.jobs_running":       "Jobs currently executing an attempt.",
-	"service.heap_peak_bytes":    "Highest per-job sampled heap peak since boot.",
-	"service.job_run_ms":         "Per-job run time of completed jobs, milliseconds.",
-	"service.job_queued_ms":      "Per-job queue wait of completed jobs, milliseconds.",
-	"service.job_events":         "Events decoded per completed job.",
-	"ingest.bytes":               "Raw trace bytes read.",
-	"ingest.lines":               "Trace lines read.",
-	"ingest.events":              "Events decoded from traces.",
-	"ingest.dropped":             "Events dropped by lenient salvage.",
-	"ingest.synthesized":         "Events synthesized by lenient salvage.",
-	"ingest.quarantined_traces":  "Traces quarantined during ingest.",
-	"ingest.trace_events":        "Events per ingested trace.",
-	"run.wall_seconds":           "Wall time since the run (or the daemon) started.",
-	"pool.calls":                 "Parallel loops run at this pool call site.",
-	"pool.items":                 "Items processed at this pool call site.",
-	"pool.workers":               "Largest worker budget seen at this pool call site.",
-	"pool.busy_seconds":          "Total time spent inside loop bodies at this site.",
-	"pool.utilization":           "busy / (workers x wall) at this pool call site.",
-	"stage.runs":                 "Spans recorded at this stage path.",
-	"stage.wall_seconds":         "Total span wall time at this stage path.",
-	"flight.records":             "Completed jobs currently held by the flight recorder.",
+	"service.admitted":          "Jobs accepted into the queue.",
+	"service.rejected_full":     "Submissions rejected because the queue was full.",
+	"service.rejected_draining": "Submissions rejected during drain.",
+	"service.cache_hits":        "Submissions answered from the artifact store.",
+	"service.dedup_joined":      "Submissions joined onto an identical in-flight job.",
+	"service.jobs_done":         "Jobs that completed successfully.",
+	"service.jobs_failed":       "Jobs that exhausted retries or hit a fatal error.",
+	"service.queue_len":         "Jobs currently queued (admission gauge).",
+	"service.jobs_running":      "Jobs currently executing an attempt.",
+	"service.heap_peak_bytes":   "Highest per-job sampled heap peak since boot.",
+	"service.job_run_ms":        "Per-job run time of completed jobs, milliseconds.",
+	"service.job_queued_ms":     "Per-job queue wait of completed jobs, milliseconds.",
+	"service.job_events":        "Events decoded per completed job.",
+	"ingest.bytes":              "Raw trace bytes read.",
+	"ingest.lines":              "Trace lines read.",
+	"ingest.events":             "Events decoded from traces.",
+	"ingest.dropped":            "Events dropped by lenient salvage.",
+	"ingest.synthesized":        "Events synthesized by lenient salvage.",
+	"ingest.quarantined_traces": "Traces quarantined during ingest.",
+	"ingest.trace_events":       "Events per ingested trace.",
+	"run.wall_seconds":          "Wall time since the run (or the daemon) started.",
+	"pool.calls":                "Parallel loops run at this pool call site.",
+	"pool.items":                "Items processed at this pool call site.",
+	"pool.workers":              "Largest worker budget seen at this pool call site.",
+	"pool.busy_seconds":         "Total time spent inside loop bodies at this site.",
+	"pool.utilization":          "busy / (workers x wall) at this pool call site.",
+	"stage.runs":                "Spans recorded at this stage path.",
+	"stage.wall_seconds":        "Total span wall time at this stage path.",
+	"flight.records":            "Completed jobs currently held by the flight recorder.",
 }
 
 func helpFor(orig string) string {

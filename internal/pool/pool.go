@@ -52,83 +52,62 @@ func Divide(total, outer int) int {
 // unbalanced work still packs tightly; with workers <= 1 (or n <= 1) the
 // loop runs inline on the caller's goroutine.
 //
+// Cancellation is cooperative: every worker re-checks ctx between item
+// claims (and the inline path checks between iterations), so a cancelled
+// loop stops claiming new items while items already claimed run to
+// completion. Do returns ctx.Err() when the loop was cut short, nil when
+// every item ran; a nil ctx is never cancelled. Items that ran produced
+// exactly what a serial run would have, and the caller sees a non-nil
+// error whenever any item may have been skipped, so no partial result is
+// ever mistaken for a complete one.
+//
+// Worker busy/idle accounting folds into r under the named call site: each
+// loop records its item count, effective worker count, total busy time
+// inside fn, and elapsed wall time, from which the manifest derives
+// per-site utilization (busy / workers×wall). A nil Run takes the
+// zero-cost path — no clocks, no wrappers, no allocations — which is what
+// the pipeline runs by default.
+//
 // A panic inside fn does not kill the process: every worker finishes its
 // remaining items' claims, and the panic raised at the lowest panicking
 // index is re-raised on the caller's goroutine — deterministic no matter
 // which worker hit it first. (Pipeline stages that must survive panics wrap
 // fn bodies in resilience.Guard instead; Do's re-raise is the non-resilient
 // path where a panic is expected to propagate exactly as in a serial loop.)
-func Do(workers, n int, fn func(i int)) {
-	doPool(nil, workers, n, fn)
-}
-
-// DoContext is Do with cooperative cancellation: every worker re-checks ctx
-// between item claims (and the inline path checks between iterations), so a
-// cancelled loop stops claiming new items while items already claimed run to
-// completion. It returns ctx.Err() when the loop was cut short, nil when
-// every item ran. A nil ctx is never cancelled — DoContext(nil, ...) is
-// exactly Do.
-//
-// Cancellation does not disturb the determinism contract: items that ran
-// produced exactly what a serial run would have, and the caller sees a
-// non-nil error whenever any item may have been skipped, so no partial
-// result is ever mistaken for a complete one.
-func DoContext(ctx context.Context, workers, n int, fn func(i int)) error {
-	doPool(ctx, workers, n, fn)
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// DoObserved is Do with worker busy/idle accounting folded into r under the
-// named call site: each loop records its item count, effective worker
-// count, total busy time inside fn, and elapsed wall time, from which the
-// manifest derives per-site utilization (busy / workers×wall). With a nil
-// Run it is exactly Do — no clocks, no wrappers, no allocations — which is
-// the disabled fast path the pipeline runs by default.
-func DoObserved(r *obs.Run, site string, workers, n int, fn func(i int)) {
-	doObserved(nil, r, site, workers, n, fn)
-}
-
-// DoObservedContext is DoObserved with DoContext's cancellation semantics.
-func DoObservedContext(ctx context.Context, r *obs.Run, site string, workers, n int, fn func(i int)) error {
-	doObserved(ctx, r, site, workers, n, fn)
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func doObserved(ctx context.Context, r *obs.Run, site string, workers, n int, fn func(i int)) {
+func Do(ctx context.Context, r *obs.Run, site string, workers, n int, fn func(i int)) error {
 	// Live-progress cursor: when the ctx carries a job Progress, the pool
 	// site name is the most precise "what is running right now" available
 	// (one write per parallel loop, not per item). Set even on the nil-Run
 	// fast path — progress and manifests are independently enabled.
 	obs.ProgressFrom(ctx).SetStage(site)
-	if r == nil || n <= 0 {
-		doPool(ctx, workers, n, fn)
-		return
+	if r != nil && n > 0 {
+		eff := workers
+		if eff > n {
+			eff = n
+		}
+		if eff < 1 {
+			eff = 1
+		}
+		var busy atomic.Int64
+		start := time.Now()
+		// Record even when fn panics (the re-raise happens after all
+		// workers drain): a site that dies mid-loop still shows how far
+		// it got.
+		defer func() {
+			r.Pool(site).Record(eff, n, time.Duration(busy.Load()), time.Since(start))
+		}()
+		inner := fn
+		fn = func(i int) {
+			t0 := time.Now()
+			defer func() { busy.Add(int64(time.Since(t0))) }()
+			inner(i)
+		}
 	}
-	eff := workers
-	if eff > n {
-		eff = n
+	doPool(ctx, workers, n, fn)
+	if ctx != nil {
+		return ctx.Err()
 	}
-	if eff < 1 {
-		eff = 1
-	}
-	var busy atomic.Int64
-	start := time.Now()
-	// Record even when fn panics (Do re-raises after all workers drain):
-	// a site that dies mid-loop still shows how far it got.
-	defer func() {
-		r.Pool(site).Record(eff, n, time.Duration(busy.Load()), time.Since(start))
-	}()
-	doPool(ctx, workers, n, func(i int) {
-		t0 := time.Now()
-		defer func() { busy.Add(int64(time.Since(t0))) }()
-		fn(i)
-	})
+	return nil
 }
 
 // cancelled reports whether ctx is non-nil and already cancelled.

@@ -12,7 +12,7 @@ func TestDoRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 32} {
 		n := 257
 		counts := make([]int32, n)
-		Do(workers, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		Do(nil, nil, "test", workers, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -22,9 +22,9 @@ func TestDoRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoEmptyAndSingle(t *testing.T) {
-	Do(4, 0, func(i int) { t.Fatal("fn called for n=0") })
+	Do(nil, nil, "test", 4, 0, func(i int) { t.Fatal("fn called for n=0") })
 	ran := false
-	Do(4, 1, func(i int) { ran = true })
+	Do(nil, nil, "test", 4, 1, func(i int) { ran = true })
 	if !ran {
 		t.Fatal("fn not called for n=1")
 	}
@@ -33,7 +33,7 @@ func TestDoEmptyAndSingle(t *testing.T) {
 func TestDoBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	Do(workers, 64, func(i int) {
+	Do(nil, nil, "test", workers, 64, func(i int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -57,7 +57,7 @@ func TestDoPanicLowestIndex(t *testing.T) {
 			t.Fatalf("recovered %v, want boom-3", p)
 		}
 	}()
-	Do(8, 32, func(i int) {
+	Do(nil, nil, "test", 8, 32, func(i int) {
 		if i == 3 || i == 17 || i == 31 {
 			panic("boom-" + string(rune('0'+i%10)))
 		}
@@ -71,7 +71,7 @@ func TestDoPanicInline(t *testing.T) {
 			t.Fatalf("recovered %v, want serial", p)
 		}
 	}()
-	Do(1, 4, func(i int) {
+	Do(nil, nil, "test", 1, 4, func(i int) {
 		if i == 2 {
 			panic("serial")
 		}
@@ -105,13 +105,13 @@ func TestWorkersAndDivide(t *testing.T) {
 // zero (or negative) worker budget — every child gets at least 1.
 func TestDivideClampsZeroBudgetChildren(t *testing.T) {
 	cases := []struct{ total, outer, want int }{
-		{1, 2, 1},   // budget smaller than fan-out
-		{3, 4, 1},   // truncating division would yield 0
-		{0, 4, 1},   // no budget at all
-		{-2, 4, 1},  // negative budget (repeated nested division gone wrong)
-		{4, -1, 4},  // degenerate outer
-		{7, 2, 3},   // ordinary truncation unchanged
-		{16, 4, 4},  // exact division unchanged
+		{1, 2, 1},  // budget smaller than fan-out
+		{3, 4, 1},  // truncating division would yield 0
+		{0, 4, 1},  // no budget at all
+		{-2, 4, 1}, // negative budget (repeated nested division gone wrong)
+		{4, -1, 4}, // degenerate outer
+		{7, 2, 3},  // ordinary truncation unchanged
+		{16, 4, 4}, // exact division unchanged
 	}
 	for _, c := range cases {
 		if got := Divide(c.total, c.outer); got != c.want {
@@ -134,8 +134,8 @@ func TestDivideClampsZeroBudgetChildren(t *testing.T) {
 func TestDoContextNilCtxRunsAll(t *testing.T) {
 	n := 64
 	counts := make([]int32, n)
-	if err := DoContext(nil, 4, n, func(i int) { atomic.AddInt32(&counts[i], 1) }); err != nil {
-		t.Fatalf("DoContext(nil) err = %v", err)
+	if err := Do(nil, nil, "test", 4, n, func(i int) { atomic.AddInt32(&counts[i], 1) }); err != nil {
+		t.Fatalf("Do(nil ctx) err = %v", err)
 	}
 	for i, c := range counts {
 		if c != 1 {
@@ -152,7 +152,7 @@ func TestDoContextCancelStopsClaims(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
 		const n = 1 << 20
-		err := DoContext(ctx, workers, n, func(i int) {
+		err := Do(ctx, nil, "test", workers, n, func(i int) {
 			if ran.Add(1) == 8 {
 				cancel()
 			}
@@ -171,7 +171,7 @@ func TestDoContextPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := DoContext(ctx, 4, 16, func(i int) { ran.Add(1) })
+	err := Do(ctx, nil, "test", 4, 16, func(i int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -181,7 +181,7 @@ func TestDoContextPreCancelledRunsNothing(t *testing.T) {
 }
 
 func TestDoObservedContextCompleteIsNil(t *testing.T) {
-	if err := DoObservedContext(context.Background(), nil, "site", 2, 8, func(i int) {}); err != nil {
+	if err := Do(context.Background(), nil, "site", 2, 8, func(i int) {}); err != nil {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -138,7 +138,7 @@ func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Reque
 
 	// One worker: the pool loop still records the rank.sweep site and
 	// checks ctx between combinations.
-	if err := pool.DoObservedContext(ctx, req.Obs, "rank.sweep", 1, len(combos), runOne); err != nil {
+	if err := pool.Do(ctx, req.Obs, "rank.sweep", 1, len(combos), runOne); err != nil {
 		return nil, fmt.Errorf("rank: sweep cancelled: %w", err)
 	}
 	for _, err := range errs {

@@ -90,8 +90,8 @@ func TestSubmitValidation(t *testing.T) {
 	dir := t.TempDir()
 	normal, faulty := writeTracePair(t, dir, 0)
 	cases := []DiffRequest{
-		{},                                     // no paths
-		{Normal: normal},                       // missing faulty
+		{},               // no paths
+		{Normal: normal}, // missing faulty
 		{Normal: normal, Faulty: faulty, Filter: "not-a-spec"},
 		{Normal: normal, Faulty: faulty, Attr: "bogus"},
 		{Normal: normal, Faulty: faulty, Linkage: "bogus"},

@@ -12,18 +12,18 @@ var corruptSeeds = []string{
 	"# trace 0.0\ncall main\nret main\ntruncated\n",
 	"call orphan\n",
 	"",
-	"# trace 0.0\ncall main\nca",                           // truncated mid-event
-	"# trace 0.0\ncall main\n# trace 0.0\ncall main\n",     // duplicated header
+	"# trace 0.0\ncall main\nca", // truncated mid-event
+	"# trace 0.0\ncall main\n# trace 0.0\ncall main\n",               // duplicated header
 	"# trace 0.0\ncall a\n# trace 1.0\ncall b\n# trace 0.0\nret a\n", // interleaved
-	"# trace 0.0\nret NoSuchCall\n",                        // ret without call
-	"# trace 0.0\ncall \xff\xfe\x00name\n",                 // non-UTF-8 name
-	"# trace 99999999999999999999.0\ncall main\n",          // overflowing header
-	"# trace x.y\ncall ghost\n# trace 1.0\ncall ok\n",      // garbage header
-	"truncated\ntruncated\n# trace 0.0\ntruncated\n",       // orphan markers
-	"# trace 0.0\n\x00\x01\x02\x03\n",                      // binary junk line
-	"# trace 0.0\njump main\nwalk back\n",                  // unknown kinds
-	"# trace 0.0\ncall a\ncall b\ncall c\n",                // unclosed calls
-	"# trace 0.0\r\ncall main\r\nret main\r\n",             // CRLF endings
+	"# trace 0.0\nret NoSuchCall\n",                                  // ret without call
+	"# trace 0.0\ncall \xff\xfe\x00name\n",                           // non-UTF-8 name
+	"# trace 99999999999999999999.0\ncall main\n",                    // overflowing header
+	"# trace x.y\ncall ghost\n# trace 1.0\ncall ok\n",                // garbage header
+	"truncated\ntruncated\n# trace 0.0\ntruncated\n",                 // orphan markers
+	"# trace 0.0\n\x00\x01\x02\x03\n",                                // binary junk line
+	"# trace 0.0\njump main\nwalk back\n",                            // unknown kinds
+	"# trace 0.0\ncall a\ncall b\ncall c\n",                          // unclosed calls
+	"# trace 0.0\r\ncall main\r\nret main\r\n",                       // CRLF endings
 }
 
 // FuzzReadSetText: arbitrary text never panics the strict parser, and the
