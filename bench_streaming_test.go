@@ -44,7 +44,7 @@ func BenchmarkStreaming_DiffRun(b *testing.B) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		baseline := ms.HeapAlloc
-		sampler := obs.StartHeapSampler(time.Millisecond)
+		sampler := obs.StartHeapSamplerInto(time.Millisecond, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -58,11 +58,11 @@ func BenchmarkStreaming_DiffRun(b *testing.B) {
 	b.Run("mode=batch", func(b *testing.B) {
 		measure(b, func() {
 			reg := trace.NewRegistry()
-			normal, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
+			normal, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			faulty, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
+			faulty, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -74,11 +74,11 @@ func BenchmarkStreaming_DiffRun(b *testing.B) {
 	b.Run("mode=stream", func(b *testing.B) {
 		measure(b, func() {
 			reg := trace.NewRegistry()
-			normal, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
+			normal, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			faulty, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
+			faulty, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

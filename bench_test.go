@@ -239,7 +239,7 @@ func BenchmarkFig4_JSM(b *testing.B) {
 		w := w
 		b.Run("synth88/"+benchName("workers", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if jaccard.NewParallel(sattrs, w).Size() == 0 {
+				if jaccard.NewParallelObserved(sattrs, w, nil).Size() == 0 {
 					b.Fatal("empty JSM")
 				}
 			}
@@ -345,7 +345,7 @@ func benchRankingSweep(b *testing.B, pair tracePair, specs []string, custom []st
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err := rank.Sweep(pair.normal, pair.faulty, rank.Request{
+		tbl, err := rank.SweepContext(nil, pair.normal, pair.faulty, rank.Request{
 			Specs:          specs,
 			CustomPatterns: custom,
 			Linkage:        cluster.Ward,
@@ -615,7 +615,7 @@ func BenchmarkAblation_ParallelSweep(b *testing.B) {
 		}
 		b.Run(benchName("workers", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rank.Sweep(pair.normal, pair.faulty, req); err != nil {
+				if _, err := rank.SweepContext(nil, pair.normal, pair.faulty, req); err != nil {
 					b.Fatal(err)
 				}
 			}

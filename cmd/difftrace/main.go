@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -275,7 +274,7 @@ func run(w io.Writer, o options) error {
 		rdOpts.Mode = trace.Lenient
 	}
 	// The sweep and triage views replay materialized sets, so they decode a
-	// PLOT1 file once up front; every other view reads it compressed.
+	// compressed input once up front; every other view reads it compressed.
 	materialize := o.sweep != "" || o.triage
 	// Both runs must share one registry so function IDs align.
 	reg := trace.NewRegistry()
@@ -292,8 +291,8 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	spIngest.End()
-	obsRun.AddIngest(ingestTotals(nrep))
-	obsRun.AddIngest(ingestTotals(frep))
+	obsRun.AddIngest(core.IngestTotals(nrep))
+	obsRun.AddIngest(core.IngestTotals(frep))
 	// Both set types render the same "TraceSet{...}" header.
 	fmt.Fprintf(textW, "normal: %s   faulty: %s\n", normal, faulty)
 	writeIngest(textW, o, nrep, frep)
@@ -429,24 +428,6 @@ func writeIngest(w io.Writer, o options, reps ...*resilience.IngestReport) {
 	}
 }
 
-// ingestTotals folds an IngestReport into the manifest's ingestion entry.
-// obs stays dependency-free, so the conversion lives with the CLI — the one
-// place that holds both ends.
-func ingestTotals(rep *resilience.IngestReport) obs.Ingest {
-	if rep == nil {
-		return obs.Ingest{}
-	}
-	return obs.Ingest{
-		Source:            rep.Source,
-		Lenient:           rep.Lenient,
-		EventsKept:        rep.EventsKept,
-		EventsDropped:     rep.EventsDropped,
-		EventsSynthesized: rep.EventsSynthesized,
-		TracesAffected:    len(rep.Records()),
-		Quarantined:       rep.Quarantined(),
-	}
-}
-
 // writeManifest serializes the run manifest to path.
 func writeManifest(path string, r *obs.Run) error {
 	f, err := os.Create(path)
@@ -475,34 +456,23 @@ func writeTriage(w io.Writer, flt *filter.Filter, normal, faulty *trace.TraceSet
 	fmt.Fprint(w, progress.Analyze(fn, ff, flt.K).Render())
 }
 
-// readSet loads a trace file in either format, sniffing the binary magic.
-// A text file reads into a trace.TraceSet. A PLOT1 file stays compressed
-// as a parlot.StreamSet, or is decoded into a trace.TraceSet when
-// materialize is set. Strict errors are prefixed with the path; the
-// IngestReport records what a lenient read salvaged.
+// readSet loads a trace file in either format through core.ReadSource. A
+// compressed input is decoded into a trace.TraceSet when materialize is
+// set. Strict errors are prefixed with the path; the IngestReport, named
+// after the path, records what a lenient read salvaged.
 func readSet(ctx context.Context, path string, reg *trace.Registry, opts trace.ReadOptions, materialize bool) (core.Source, *resilience.IngestReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	var (
-		s   core.Source
-		rep *resilience.IngestReport
-	)
-	magic, err := br.Peek(5)
-	switch {
-	case err != nil || string(magic) != "PLOT1":
-		s, rep, err = trace.ReadSetTextContext(ctx, br, reg, opts)
-	case materialize:
-		s, rep, err = parlot.ReadSetBinaryContext(ctx, br, reg, opts)
-	default:
-		s, rep, err = parlot.ReadStreamSetContext(ctx, br, reg, opts)
-	}
+	s, rep, err := core.ReadSource(ctx, f, reg, opts)
 	if rep != nil {
 		// Even a partial (timed-out/corrupt) report names its source.
 		rep.Source = path
+	}
+	if ss, ok := s.(*parlot.StreamSet); ok && materialize {
+		s, err = ss.Materialize(ctx)
 	}
 	if err != nil {
 		return nil, rep, fmt.Errorf("%s: %w", path, err)

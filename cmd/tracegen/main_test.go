@@ -72,7 +72,7 @@ func TestRunBinaryFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	set, err := parlot.ReadSetBinary(f, nil)
+	set, _, err := parlot.ReadSetBinaryContext(nil, f, nil, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

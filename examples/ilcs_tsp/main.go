@@ -57,7 +57,7 @@ func main() {
 		"wrongOp":   {"11.plt.cust.0K10", "01.plt.cust.0K10", "11.mpi.cust.0K10", "11.mpicol.cust.0K10"},
 	}[*faultName]
 
-	tbl, err := rank.Sweep(normal, faulty, rank.Request{
+	tbl, err := rank.SweepContext(nil, normal, faulty, rank.Request{
 		Specs:          specs,
 		CustomPatterns: []string{"^CPU_"},
 		Linkage:        cluster.Ward,

@@ -73,7 +73,7 @@ func main() {
 	}
 	faulty := collect(plan)
 
-	tbl, err := rank.Sweep(normal, faulty, rank.Request{
+	tbl, err := rank.SweepContext(nil, normal, faulty, rank.Request{
 		Specs:   []string{"11.1K10", "01.1K10"},
 		Linkage: cluster.Ward,
 	})

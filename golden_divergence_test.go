@@ -103,7 +103,7 @@ func divergenceDump(t *testing.T, fx divergenceFixture, workers int, stream bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	div, err := rep.FindDivergence()
+	div, err := rep.FindDivergenceContext(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +150,6 @@ func TestGoldenDivergenceWorkersDeterminism(t *testing.T) {
 // divergence report.
 func TestGoldenDivergenceBatchStreamDeterminism(t *testing.T) {
 	for _, fx := range divergenceFixtures {
-		if testing.Short() && fx.name == "lulesh" {
-			continue // the slowest replay, same policy as the race target
-		}
 		batch := divergenceDump(t, fx, 4, false)
 		stream := divergenceDump(t, fx, 4, true)
 		if batch != stream {

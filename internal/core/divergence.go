@@ -64,15 +64,10 @@ type DivergenceReport struct {
 	table *nlr.Table
 }
 
-// FindDivergence runs the pass with the Report's own Config (workers,
-// Resilient, Obs) and no cancellation.
-func (r *Report) FindDivergence() (*DivergenceReport, error) {
-	return r.FindDivergenceContext(nil)
-}
-
-// FindDivergenceContext is FindDivergence with cooperative cancellation:
-// every worker claim observes ctx, and a cancelled pass aborts even under
-// Config.Resilient.
+// FindDivergenceContext runs the pass with the Report's own Config
+// (workers, Resilient, Obs). Every worker claim observes ctx, and a
+// cancelled pass aborts even under Config.Resilient. A nil ctx is never
+// cancelled.
 func (r *Report) FindDivergenceContext(ctx context.Context) (*DivergenceReport, error) {
 	run := r.Cfg.Obs
 	sp := run.StartSpan("divergence")
@@ -128,6 +123,7 @@ func (r *Report) levelDivergence(ctx context.Context, name string, level *Level)
 	poolErr := pool.Do(ctx, run, "core.divergence", r.Cfg.workers(), len(objs), func(i int) {
 		o := objs[i]
 		walk := func() error {
+			fireStage(stage, o)
 			d := diffnlr.FindDivergence(level.Normal.NLR[o], level.Faulty.NLR[o])
 			if d == nil {
 				return nil
@@ -222,12 +218,16 @@ func (ld *LevelDivergence) consensus() {
 
 var divLoopTokRE = regexp.MustCompile(`^L(\d+)\^\d+$`)
 
-// Render writes the human-readable divergence explorer table: per level, a
-// row per diverging object (kind, headline function, token and proven-equal
-// event index, the diverging heads, suspect rank), the clustering
-// consensus, and a legend resolving any loop tokens the rows mention.
+// Render writes the human-readable divergence explorer table: a
+// "degraded:" line per object the pass skipped, then per level a row per
+// diverging object (kind, headline function, token and proven-equal event
+// index, the diverging heads, suspect rank), the clustering consensus, and
+// a legend resolving any loop tokens the rows mention.
 func (d *DivergenceReport) Render(w io.Writer) error {
 	fmt.Fprintf(w, "divergence explorer\n")
+	for _, serr := range d.Degraded {
+		fmt.Fprintf(w, "degraded: %s\n", serr)
+	}
 	for _, ld := range []*LevelDivergence{d.Threads, d.Processes} {
 		if ld == nil {
 			continue

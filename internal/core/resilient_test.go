@@ -170,3 +170,43 @@ func TestResilientEmptySets(t *testing.T) {
 		t.Errorf("empty input produced suspects: %v", rep.Threads.Suspects)
 	}
 }
+
+// TestResilientDivergencePanicRendered: a panic in one object's divergence
+// walk skips that object under Resilient, and the rendered table names it
+// on a "degraded:" line instead of dropping it without a word.
+func TestResilientDivergencePanicRendered(t *testing.T) {
+	reg := trace.NewRegistry()
+	normal := collect(t, 8, reg, nil)
+	faulty := collect(t, 8, reg, swapPlan())
+	cfg := DefaultConfig()
+	cfg.Resilient = true
+	rep, err := DiffRun(normal, faulty, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHook(t, func(stage, object string) {
+		if stage == "divergence threads" && object == "5.0" {
+			panic("injected divergence blow-up")
+		}
+	})
+	div, err := rep.FindDivergenceContext(nil)
+	if err != nil {
+		t.Fatalf("resilient divergence pass: %v", err)
+	}
+	if len(div.Degraded) != 1 || div.Degraded[0].Object != "5.0" {
+		t.Fatalf("Degraded = %v, want one StageError on 5.0", div.Degraded)
+	}
+	var b strings.Builder
+	if err := div.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if want := "degraded: " + div.Degraded[0].Error() + "\n"; !strings.Contains(got, want) {
+		t.Errorf("rendered table lacks %q:\n%s", want, got)
+	}
+	for _, line := range strings.Split(got, "\n") {
+		if strings.HasPrefix(line, "5.0 ") {
+			t.Errorf("skipped object still has a row: %q", line)
+		}
+	}
+}

@@ -52,11 +52,11 @@ func renderFull(t *testing.T, rep *Report) []byte {
 func runBatch(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *Report {
 	t.Helper()
 	reg := trace.NewRegistry()
-	normal, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(nb), reg, opts)
+	normal, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(nb), reg, opts)
 	if err != nil {
 		t.Fatalf("batch read normal: %v", err)
 	}
-	faulty, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(fb), reg, opts)
+	faulty, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(fb), reg, opts)
 	if err != nil {
 		t.Fatalf("batch read faulty: %v", err)
 	}
@@ -72,11 +72,11 @@ func runBatch(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *
 func runStream(t *testing.T, nb, fb []byte, opts trace.ReadOptions, cfg Config) *Report {
 	t.Helper()
 	reg := trace.NewRegistry()
-	normal, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(nb), reg, opts)
+	normal, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(nb), reg, opts)
 	if err != nil {
 		t.Fatalf("stream read normal: %v", err)
 	}
-	faulty, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(fb), reg, opts)
+	faulty, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(fb), reg, opts)
 	if err != nil {
 		t.Fatalf("stream read faulty: %v", err)
 	}
@@ -245,18 +245,18 @@ func TestStreamChaosParallelMatchesSequential(t *testing.T) {
 			opts := trace.ReadOptions{Mode: trace.Lenient}
 
 			breg := trace.NewRegistry()
-			bn, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(nb), breg, opts)
+			bn, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(nb), breg, opts)
 			if err != nil {
 				t.Fatalf("batch read normal: %v", err)
 			}
-			bf, brep, berr := parlot.ReadSetBinaryOptions(bytes.NewReader(corrupted), breg, opts)
+			bf, brep, berr := parlot.ReadSetBinaryContext(nil, bytes.NewReader(corrupted), breg, opts)
 
 			sreg := trace.NewRegistry()
-			sn, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(nb), sreg, opts)
+			sn, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(nb), sreg, opts)
 			if err != nil {
 				t.Fatalf("stream read normal: %v", err)
 			}
-			sf, srep, serr := parlot.ReadStreamSetOptions(bytes.NewReader(corrupted), sreg, opts)
+			sf, srep, serr := parlot.ReadStreamSetContext(nil, bytes.NewReader(corrupted), sreg, opts)
 
 			// Ingest outcome must agree before any analysis does.
 			if (berr == nil) != (serr == nil) {
@@ -372,7 +372,8 @@ func TestProgressCountsEventsRead(t *testing.T) {
 		return p.Snapshot().Events
 	}
 	batch := events(func(r io.Reader, reg *trace.Registry) (Source, error) {
-		return parlot.ReadSetBinary(r, reg)
+		set, _, err := parlot.ReadSetBinaryContext(nil, r, reg, trace.ReadOptions{})
+		return set, err
 	})
 	stream := events(func(r io.Reader, reg *trace.Registry) (Source, error) {
 		return parlot.ReadStreamSet(r, reg)

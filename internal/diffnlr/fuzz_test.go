@@ -67,7 +67,7 @@ func FuzzFindDivergence(f *testing.F) {
 // their own corpora.
 func decodeFirstStream(raw []byte) ([]string, bool) {
 	reg := trace.NewRegistry()
-	set, _, err := parlot.ReadSetBinaryOptions(bytes.NewReader(raw), reg, trace.ReadOptions{Mode: trace.Lenient})
+	set, _, err := parlot.ReadSetBinaryContext(nil, bytes.NewReader(raw), reg, trace.ReadOptions{Mode: trace.Lenient})
 	if err != nil || set == nil {
 		return nil, false
 	}

@@ -207,12 +207,12 @@ func sweepBoth(t *testing.T, label string, p *pair, req rank.Request) {
 	t.Helper()
 	normal, faulty := p.get(t)
 	req.Workers = 1
-	seq, err := rank.Sweep(normal, faulty, req)
+	seq, err := rank.SweepContext(nil, normal, faulty, req)
 	if err != nil {
 		t.Fatalf("%s (Workers 1): %v", label, err)
 	}
 	req.Workers = 8
-	par, err := rank.Sweep(normal, faulty, req)
+	par, err := rank.SweepContext(nil, normal, faulty, req)
 	if err != nil {
 		t.Fatalf("%s (Workers 8): %v", label, err)
 	}

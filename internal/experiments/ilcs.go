@@ -51,7 +51,7 @@ func ilcsSweep(w io.Writer, title string, plan *faults.Plan, specs []string) (*O
 	if err != nil {
 		return nil, nil, err
 	}
-	tbl, err := rank.Sweep(normal, faulty, rank.Request{
+	tbl, err := rank.SweepContext(nil, normal, faulty, rank.Request{
 		Specs:          specs,
 		CustomPatterns: ilcsCustom,
 		Linkage:        cluster.Ward,
@@ -130,7 +130,7 @@ func TableVIII(w io.Writer) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := rank.Sweep(normal, faulty, rank.Request{
+	tbl, err := rank.SweepContext(nil, normal, faulty, rank.Request{
 		Specs:          wrongOpSpecs,
 		CustomPatterns: ilcsCustom,
 		Linkage:        cluster.Ward,

@@ -112,7 +112,7 @@ func TableIX(w io.Writer) (*Outcome, error) {
 	if !fres.Deadlocked {
 		o.fail("skipping LagrangeLeapFrog did not stall the job")
 	}
-	tbl, err := rank.Sweep(normal, faulty, rank.Request{
+	tbl, err := rank.SweepContext(nil, normal, faulty, rank.Request{
 		Specs:   []string{"11.1K10", "01.1K10"},
 		Linkage: cluster.Ward,
 	})

@@ -31,19 +31,14 @@ type JSM struct {
 // name using a numeric-aware comparison so "T2" sorts before "T10" and
 // "6.4" after "6.3".
 func New(attrs map[string]fca.AttrSet) *JSM {
-	return NewParallel(attrs, 1)
+	return NewParallelObserved(attrs, 1, nil)
 }
 
-// NewParallel is New with the O(n²) pairwise computation spread over up to
-// workers goroutines in row blocks. Row i computes cells (i, j>i) and
-// mirrors them; every cell is written exactly once and each value is the
-// same arithmetic as the sequential path, so the result is bit-identical
-// for any worker count.
-func NewParallel(attrs map[string]fca.AttrSet, workers int) *JSM {
-	return NewParallelObserved(attrs, workers, nil)
-}
-
-// NewParallelObserved is NewParallel with observability folded into r: the
+// NewParallelObserved is New with the O(n²) pairwise computation spread
+// over up to workers goroutines in row blocks. Row i computes cells
+// (i, j>i) and mirrors them; every cell is written exactly once and each
+// value is the same arithmetic as the sequential path, so the result is
+// bit-identical for any worker count. Observability folds into r: the
 // row-block loop records its utilization under the "jaccard.rows" pool
 // site, and the "jaccard.cells" counter accumulates the pairwise cells
 // computed (n·(n−1)/2 per matrix). A nil Run is the zero-cost fast path.

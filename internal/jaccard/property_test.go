@@ -118,7 +118,7 @@ func TestNewParallelMatchesSequential(t *testing.T) {
 	}
 	seq := New(attrs)
 	for _, w := range []int{2, 4, 16} {
-		par := NewParallel(attrs, w)
+		par := NewParallelObserved(attrs, w, nil)
 		if len(par.Names) != len(seq.Names) {
 			t.Fatalf("workers=%d: name counts differ", w)
 		}

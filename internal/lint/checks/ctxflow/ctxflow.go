@@ -2,11 +2,12 @@
 // context.Context but calls a module API that cannot take one, when that
 // API has a Context-accepting sibling right next to it.
 //
-// The module's convention pairs every cancellable operation with a legacy
-// entry point — DiffRun/DiffRunContext, Sweep/SweepContext — where the bare name
-// delegates to the Context variant with context.Background(). Calling the
-// bare name while holding a real ctx silently severs the cancellation
-// chain: the caller's deadline stops propagating exactly one frame down.
+// A few cancellable operations still keep a ctx-less entry point next to
+// their Context variant — DiffRun/DiffRunContext, ReadSetText/
+// ReadSetTextContext — because the benchmark module calls both names; the
+// bare name delegates with a nil ctx. Calling the bare name while holding
+// a real ctx silently severs the cancellation chain: the caller's deadline
+// stops propagating exactly one frame down.
 //
 // The sibling rule is purely lexical: callee key + "Context" must name a
 // module function (or method on the same receiver) whose summary shows a

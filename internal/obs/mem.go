@@ -23,15 +23,11 @@ type HeapSampler struct {
 	progress *Progress // optional mirror; nil is off
 }
 
-// StartHeapSampler begins sampling every interval until Stop. It takes an
-// immediate first sample so even a panicking caller has a floor reading.
-func StartHeapSampler(interval time.Duration) *HeapSampler {
-	return StartHeapSamplerInto(interval, nil)
-}
-
-// StartHeapSamplerInto is StartHeapSampler with each new peak mirrored into
-// the job's live Progress, so GET /v1/jobs/{id} can show peak heap while
-// the job still runs. A nil progress degrades to plain sampling.
+// StartHeapSamplerInto begins sampling every interval until Stop. It takes
+// an immediate first sample so even a panicking caller has a floor reading.
+// Each new peak is mirrored into the job's live Progress, so
+// GET /v1/jobs/{id} can show peak heap while the job still runs; a nil
+// progress means plain sampling.
 func StartHeapSamplerInto(interval time.Duration, p *Progress) *HeapSampler {
 	s := &HeapSampler{stop: make(chan struct{}), done: make(chan struct{}), progress: p}
 	s.sample()

@@ -12,7 +12,7 @@ import (
 // heap grows under it, and the nil receiver follows the obs nil-off
 // contract.
 func TestHeapSamplerObservesAllocation(t *testing.T) {
-	s := obs.StartHeapSampler(time.Millisecond)
+	s := obs.StartHeapSamplerInto(time.Millisecond, nil)
 	base := s.Peak()
 	if base == 0 {
 		t.Fatal("no initial sample")

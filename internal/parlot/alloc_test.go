@@ -19,7 +19,7 @@ func multiRecordPLOT1(t *testing.T, records int) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	uv := func(v uint64) { b.Write(binary.AppendUvarint(nil, v)) }
-	b.WriteString(fileMagic)
+	b.WriteString(Magic)
 	uv(2)
 	for _, name := range []string{"MPI_Send", "compute"} {
 		uv(uint64(len(name)))

@@ -31,12 +31,14 @@ import (
 // registry (pass the same registry for a normal/faulty pair, exactly like
 // the text format).
 
-const fileMagic = "PLOT1"
+// Magic opens every file in this format. It is spelled here only:
+// core.ReadSource peeks it to choose between this reader and the text one.
+const Magic = "PLOT1"
 
 // WriteSetBinary writes set in the compressed binary format.
 func WriteSetBinary(w io.Writer, set *trace.TraceSet) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
+	if _, err := bw.WriteString(Magic); err != nil {
 		return err
 	}
 
@@ -131,15 +133,12 @@ func (w *byteSliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ReadSetBinary parses the binary format strictly, interning names into reg
-// (nil for a fresh registry). Use ReadSetBinaryOptions for lenient salvage
-// of damaged files.
-func ReadSetBinary(r io.Reader, reg *trace.Registry) (*trace.TraceSet, error) {
-	set, _, err := ReadSetBinaryOptions(r, reg, trace.ReadOptions{})
-	return set, err
-}
-
-// ReadSetBinaryOptions parses the binary format under opts.
+// ReadSetBinaryContext parses the binary format under opts into a
+// materialized TraceSet. The pipeline reads this format through
+// core.ReadSource, which keeps it compressed (ReadStreamSetContext); this
+// reader remains because the benchmark module under _perfbench calls it,
+// and because it is the reference the stream reader's equivalence tests
+// and FuzzStreamReader check against.
 //
 // In Lenient mode damage degrades instead of failing: a short or corrupt
 // compressed stream keeps the symbols decoded before the failure (the trace
@@ -151,17 +150,13 @@ func ReadSetBinary(r io.Reader, reg *trace.Registry) (*trace.TraceSet, error) {
 // decisions are recorded in the returned IngestReport, which upholds
 // set.TotalEvents() == EventsKept + EventsSynthesized. A lenient read
 // returns a nil error for any input.
-func ReadSetBinaryOptions(r io.Reader, reg *trace.Registry, opts trace.ReadOptions) (*trace.TraceSet, *resilience.IngestReport, error) {
-	return ReadSetBinaryContext(nil, r, reg, opts)
-}
-
-// ReadSetBinaryContext is ReadSetBinaryOptions with cooperative
-// cancellation: ctx is checked between traces and periodically inside each
-// trace's decoded-symbol loop, so an oversized or hung ingest can be
-// aborted mid-stream. As with the text reader, cancellation overrides
-// lenient salvage — the wrapped ctx error is returned together with the
-// partial set and report, and nothing is quarantined on account of the
-// unread remainder. A nil ctx is never cancelled.
+//
+// ctx is checked between traces and periodically inside each trace's
+// decoded-symbol loop, so an oversized or hung ingest can be aborted
+// mid-stream. As with the text reader, cancellation overrides lenient
+// salvage: the wrapped ctx error is returned together with the partial set
+// and report, and nothing is quarantined on account of the unread
+// remainder. A nil ctx is never cancelled.
 func ReadSetBinaryContext(ctx context.Context, r io.Reader, reg *trace.Registry, opts trace.ReadOptions) (*trace.TraceSet, *resilience.IngestReport, error) {
 	if reg == nil {
 		reg = trace.NewRegistry()
@@ -273,11 +268,11 @@ func readBinary(ctx context.Context, r io.Reader, reg *trace.Registry, opts trac
 	}
 
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(fileMagic))
+	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return false, fail("?", resilience.TruncatedStream, fmt.Errorf("parlot: reading magic: %w", err))
 	}
-	if string(magic) != fileMagic {
+	if string(magic) != Magic {
 		return false, fail("?", resilience.CorruptStream, fmt.Errorf("parlot: bad magic %q", magic))
 	}
 

@@ -34,7 +34,7 @@ func TestBinaryLenientCleanRoundTrip(t *testing.T) {
 	tr.Truncated = true
 	data := encodeSet(t, s)
 
-	got, rep, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, lenientOpts())
+	got, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, lenientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestBinaryLenientTruncatedFile(t *testing.T) {
 	s := buildSet("alpha", "beta", "gamma", "delta", "epsilon")
 	data := encodeSet(t, s)
 
-	for cut := len(data) - 1; cut > len(fileMagic); cut /= 2 {
-		got, rep, err := ReadSetBinaryOptions(bytes.NewReader(data[:cut]), nil, lenientOpts())
+	for cut := len(data) - 1; cut > len(Magic); cut /= 2 {
+		got, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(data[:cut]), nil, lenientOpts())
 		if err != nil {
 			t.Fatalf("cut=%d: lenient returned error: %v", cut, err)
 		}
@@ -65,7 +65,7 @@ func TestBinaryLenientTruncatedFile(t *testing.T) {
 	}
 
 	// Strict mode must keep failing on the same inputs.
-	if _, err := ReadSetBinary(bytes.NewReader(data[:len(data)-1]), nil); err == nil {
+	if _, _, err := ReadSetBinaryContext(nil, bytes.NewReader(data[:len(data)-1]), nil, trace.ReadOptions{}); err == nil {
 		t.Error("strict mode accepted a truncated file")
 	}
 }
@@ -96,7 +96,7 @@ func TestBinaryLenientCorruptStreamResync(t *testing.T) {
 	corrupt[pos] ^= 0xff
 	corrupt[pos+1] ^= 0xff
 
-	got, rep, err := ReadSetBinaryOptions(bytes.NewReader(corrupt), nil, lenientOpts())
+	got, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(corrupt), nil, lenientOpts())
 	if err != nil {
 		t.Fatalf("lenient returned error: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestBinaryLenientCaps(t *testing.T) {
 	}
 	data := encodeSet(t, s)
 
-	got, rep, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, trace.ReadOptions{
+	got, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{
 		Mode: trace.Lenient, MaxEventsPerTrace: 5, MaxTraces: 2,
 	})
 	if err != nil {
@@ -135,10 +135,10 @@ func TestBinaryLenientCaps(t *testing.T) {
 	binAccounting(t, got, rep)
 
 	// Strict mode errors descriptively on the same caps.
-	if _, _, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, trace.ReadOptions{MaxEventsPerTrace: 5}); err == nil {
+	if _, _, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{MaxEventsPerTrace: 5}); err == nil {
 		t.Error("strict MaxEventsPerTrace accepted")
 	}
-	if _, _, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, trace.ReadOptions{MaxTraces: 2}); err == nil {
+	if _, _, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{MaxTraces: 2}); err == nil {
 		t.Error("strict MaxTraces accepted")
 	}
 }
@@ -147,7 +147,7 @@ func TestBinaryLenientCaps(t *testing.T) {
 // quarantine record, never an error, in lenient mode.
 func TestBinaryLenientGarbageFile(t *testing.T) {
 	for _, in := range [][]byte{nil, []byte("PLO"), []byte("nonsense"), []byte("PLOT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")} {
-		got, rep, err := ReadSetBinaryOptions(bytes.NewReader(in), nil, lenientOpts())
+		got, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(in), nil, lenientOpts())
 		if err != nil {
 			t.Errorf("input %q: lenient error %v", in, err)
 		}

@@ -29,7 +29,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteSetBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSetBinary(&buf, nil)
+	got, _, err := ReadSetBinaryContext(nil, &buf, nil, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestBinarySharedRegistryAcrossFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
-	g1, err := ReadSetBinary(&b1, reg)
+	g1, _, err := ReadSetBinaryContext(nil, &b1, reg, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadSetBinary(&b2, reg)
+	g2, _, err := ReadSetBinaryContext(nil, &b2, reg, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestBinaryBytesIgnoreInternOrder(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("PLOT1 bytes depend on the registry's intern order:\n%x\n%x", a, b)
 	}
-	sa, err := ReadSetBinary(bytes.NewReader(a), nil)
+	sa, _, err := ReadSetBinaryContext(nil, bytes.NewReader(a), nil, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := ReadSetBinary(bytes.NewReader(b), nil)
+	sb, _, err := ReadSetBinaryContext(nil, bytes.NewReader(b), nil, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBinaryCorruptInputs(t *testing.T) {
 		append([]byte("PLOT1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), // huge name count
 	}
 	for i, c := range cases {
-		if _, err := ReadSetBinary(bytes.NewReader(c), nil); err == nil {
+		if _, _, err := ReadSetBinaryContext(nil, bytes.NewReader(c), nil, trace.ReadOptions{}); err == nil {
 			t.Errorf("case %d: corruption accepted", i)
 		}
 	}
@@ -211,7 +211,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		if err := WriteSetBinary(&buf, s); err != nil {
 			return false
 		}
-		got, err := ReadSetBinary(&buf, nil)
+		got, _, err := ReadSetBinaryContext(nil, &buf, nil, trace.ReadOptions{})
 		if err != nil {
 			return false
 		}

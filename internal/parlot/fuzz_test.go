@@ -75,9 +75,9 @@ func FuzzReadSetBinary(f *testing.F) {
 	}
 	f.Add([]byte("PLOT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // huge name count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadSetBinary(bytes.NewReader(data), nil)
+		_, _, _ = ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{})
 
-		set, rep, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, trace.ReadOptions{Mode: trace.Lenient})
+		set, rep, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{Mode: trace.Lenient})
 		if err != nil {
 			t.Fatalf("lenient mode returned error: %v", err)
 		}
@@ -86,7 +86,7 @@ func FuzzReadSetBinary(f *testing.F) {
 				got, rep.EventsKept, rep.EventsSynthesized)
 		}
 		// Bounded lenient reads must also never error.
-		if _, _, err := ReadSetBinaryOptions(bytes.NewReader(data), nil, trace.ReadOptions{
+		if _, _, err := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{
 			Mode: trace.Lenient, MaxEventsPerTrace: 8, MaxTraces: 4,
 		}); err != nil {
 			t.Fatalf("bounded lenient mode returned error: %v", err)

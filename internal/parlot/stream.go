@@ -192,9 +192,10 @@ func (r *SymbolReader) Next() (fn uint32, kind trace.EventKind, ok bool) {
 }
 
 // Materialize fully decodes the set into a trace.TraceSet sharing the same
-// registry — the bridge back to batch-only consumers (and the anchor of the
-// equivalence tests: Materialize(ReadStreamSet(b)) equals ReadSetBinary(b)
-// trace for trace). ctx is checked periodically; on cancellation the
+// registry — the bridge back to batch-only consumers such as difftrace's
+// -sweep and -triage (and the anchor of the equivalence tests: the
+// materialized stream read of b equals ReadSetBinaryContext(b) trace for
+// trace). ctx is checked periodically; on cancellation the
 // partial set and the wrapped ctx error are returned.
 func (ss *StreamSet) Materialize(ctx context.Context) (*trace.TraceSet, error) {
 	set := trace.NewTraceSetWith(ss.Registry)
@@ -261,24 +262,19 @@ func (st *StreamTrace) block(comp []byte) {
 
 // ReadStreamSet parses the binary format strictly into a StreamSet without
 // materializing events, interning names into reg (nil for a fresh
-// registry).
+// registry). It remains next to ReadStreamSetContext only because the
+// benchmark module under _perfbench calls it.
 func ReadStreamSet(r io.Reader, reg *trace.Registry) (*StreamSet, error) {
-	ss, _, err := ReadStreamSetOptions(r, reg, trace.ReadOptions{})
+	ss, _, err := ReadStreamSetContext(nil, r, reg, trace.ReadOptions{})
 	return ss, err
 }
 
-// ReadStreamSetOptions parses the binary format under opts into a
+// ReadStreamSetContext parses the binary format under opts into a
 // StreamSet. Lenient salvage, caps, quarantine, and the IngestReport behave
-// exactly as in ReadSetBinaryOptions — both run the same walker — with the
+// exactly as in ReadSetBinaryContext — both run the same walker — with the
 // invariant ss.TotalEvents() == rep.EventsKept (the binary reader never
-// synthesizes).
-func ReadStreamSetOptions(r io.Reader, reg *trace.Registry, opts trace.ReadOptions) (*StreamSet, *resilience.IngestReport, error) {
-	return ReadStreamSetContext(nil, r, reg, opts)
-}
-
-// ReadStreamSetContext is ReadStreamSetOptions with cooperative
-// cancellation, mirroring ReadSetBinaryContext: cancellation returns the
-// partial StreamSet, the report, and the wrapped ctx error.
+// synthesizes). Cancellation returns the partial StreamSet, the report, and
+// the wrapped ctx error.
 func ReadStreamSetContext(ctx context.Context, r io.Reader, reg *trace.Registry, opts trace.ReadOptions) (*StreamSet, *resilience.IngestReport, error) {
 	if reg == nil {
 		reg = trace.NewRegistry()

@@ -25,8 +25,8 @@ func renderSet(t *testing.T, s *trace.TraceSet) string {
 // Materialize), same totals, and the same ingest report rendering.
 func requireStreamMatchesBatch(t *testing.T, data []byte, opts trace.ReadOptions) {
 	t.Helper()
-	bSet, bRep, bErr := ReadSetBinaryOptions(bytes.NewReader(data), nil, opts)
-	ss, sRep, sErr := ReadStreamSetOptions(bytes.NewReader(data), nil, opts)
+	bSet, bRep, bErr := ReadSetBinaryContext(nil, bytes.NewReader(data), nil, opts)
+	ss, sRep, sErr := ReadStreamSetContext(nil, bytes.NewReader(data), nil, opts)
 	if (bErr == nil) != (sErr == nil) {
 		t.Fatalf("error divergence: batch %v, stream %v", bErr, sErr)
 	}
@@ -199,7 +199,7 @@ func FuzzStreamReader(f *testing.F) {
 			requireStreamMatchesBatch(t, data, opts)
 		}
 		// Streaming accounting invariant, mirroring FuzzReadSetBinary's.
-		ss, rep, err := ReadStreamSetOptions(bytes.NewReader(data), nil, trace.ReadOptions{Mode: trace.Lenient})
+		ss, rep, err := ReadStreamSetContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{Mode: trace.Lenient})
 		if err != nil {
 			t.Fatalf("lenient stream read returned error: %v", err)
 		}

@@ -87,16 +87,11 @@ type combo struct {
 	attr attr.Config
 }
 
-// Sweep runs every (spec × attrs) combination over the two executions,
-// one combination at a time.
-func Sweep(normal, faulty *trace.TraceSet, req Request) (*Table, error) {
-	return SweepContext(nil, normal, faulty, req)
-}
-
-// SweepContext is Sweep with cooperative cancellation: ctx is observed
-// between combination claims and inside every DiffRun, so a sweep honors a
-// caller deadline. A cancelled sweep returns the wrapped ctx error — never
-// a partial table. A nil ctx is never cancelled.
+// SweepContext runs every (spec × attrs) combination over the two
+// executions, one combination at a time. ctx is observed between
+// combination claims and inside every DiffRun, so a sweep honors a caller
+// deadline. A cancelled sweep returns the wrapped ctx error — never a
+// partial table. A nil ctx is never cancelled.
 func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Request) (*Table, error) {
 	req.defaults()
 	if len(req.Specs) == 0 {

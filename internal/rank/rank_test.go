@@ -31,7 +31,7 @@ func TestSweepOddEvenSwapBug(t *testing.T) {
 	normal, faulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
 		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
 	}))
-	tbl, err := Sweep(normal, faulty, Request{
+	tbl, err := SweepContext(nil, normal, faulty, Request{
 		Specs:   []string{"11.mpiall.0K10", "11.mpisr.0K10"},
 		Linkage: cluster.Ward,
 	})
@@ -58,10 +58,10 @@ func TestSweepOddEvenSwapBug(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	normal, faulty := oddEvenSets(t, nil)
-	if _, err := Sweep(normal, faulty, Request{}); err == nil {
+	if _, err := SweepContext(nil, normal, faulty, Request{}); err == nil {
 		t.Error("empty spec list accepted")
 	}
-	if _, err := Sweep(normal, faulty, Request{Specs: []string{"bogus"}}); err == nil {
+	if _, err := SweepContext(nil, normal, faulty, Request{Specs: []string{"bogus"}}); err == nil {
 		t.Error("bad spec accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestRenderLayout(t *testing.T) {
 	normal, faulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
 		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
 	}))
-	tbl, err := Sweep(normal, faulty, Request{
+	tbl, err := SweepContext(nil, normal, faulty, Request{
 		Specs:   []string{"11.mpiall.0K10"},
 		Attrs:   []attr.Config{{Kind: attr.Single, Freq: attr.NoFreq}},
 		Linkage: cluster.Ward,
@@ -112,7 +112,7 @@ func TestTableVIShape(t *testing.T) {
 	// The ompcrit-only spec is the high-signal row family: for it the
 	// *only* possible difference between the runs is the buggy thread's
 	// vanished GOMP_critical_* calls.
-	tbl, err := Sweep(normal, faulty, Request{
+	tbl, err := SweepContext(nil, normal, faulty, Request{
 		Specs:          []string{"11.ompcrit.0K10", "11.plt.mem.cust.0K10", "11.mem.ompcrit.cust.0K10"},
 		CustomPatterns: []string{"^CPU_"},
 		Linkage:        cluster.Ward,
@@ -155,13 +155,13 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 		Linkage: cluster.Ward,
 		Workers: 1,
 	}
-	seq, err := Sweep(normal, faulty, base)
+	seq, err := SweepContext(nil, normal, faulty, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.Workers = 4
-	got, err := Sweep(normal, faulty, par)
+	got, err := SweepContext(nil, normal, faulty, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 
 func TestParallelSweepPropagatesErrors(t *testing.T) {
 	normal, faulty := oddEvenSets(t, nil)
-	_, err := Sweep(normal, faulty, Request{
+	_, err := SweepContext(nil, normal, faulty, Request{
 		Specs:   []string{"11.cust.0K10"}, // cust without patterns: parse error
 		Workers: 4,
 	})
@@ -195,7 +195,7 @@ func TestRenderMarkdown(t *testing.T) {
 	normal, faulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
 		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
 	}))
-	tbl, err := Sweep(normal, faulty, Request{
+	tbl, err := SweepContext(nil, normal, faulty, Request{
 		Specs:   []string{"11.mpiall.0K10"},
 		Attrs:   []attr.Config{{Kind: attr.Single, Freq: attr.Actual}},
 		Linkage: cluster.Ward,

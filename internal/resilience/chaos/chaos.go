@@ -18,7 +18,7 @@ import (
 type Operator struct {
 	// Name identifies the operator in test output.
 	Name string
-	// Binary marks operators over the PLOT1 binary format; all others
+	// Binary marks operators over parlot's binary format; all others
 	// corrupt the text format.
 	Binary bool
 	// WantStrictError is set when the strict reader is guaranteed to
@@ -126,7 +126,7 @@ func Text() []Operator {
 	}
 }
 
-// Binary returns the corruption operators for the PLOT1 binary format.
+// Binary returns the corruption operators for parlot's binary format.
 func Binary() []Operator {
 	return []Operator{
 		{

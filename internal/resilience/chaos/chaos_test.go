@@ -48,15 +48,15 @@ func buildPair(t testing.TB) (normText, faultText, faultBin []byte) {
 func readLenient(data []byte, binary bool, reg *trace.Registry, opts trace.ReadOptions) (*trace.TraceSet, *resilience.IngestReport, error) {
 	opts.Mode = trace.Lenient
 	if binary {
-		return parlot.ReadSetBinaryOptions(bytes.NewReader(data), reg, opts)
+		return parlot.ReadSetBinaryContext(nil, bytes.NewReader(data), reg, opts)
 	}
-	return trace.ReadSetTextOptions(bytes.NewReader(data), reg, opts)
+	return trace.ReadSetTextContext(nil, bytes.NewReader(data), reg, opts)
 }
 
 func readStrict(data []byte, binary bool) error {
 	var err error
 	if binary {
-		_, err = parlot.ReadSetBinary(bytes.NewReader(data), nil)
+		_, _, err = parlot.ReadSetBinaryContext(nil, bytes.NewReader(data), nil, trace.ReadOptions{})
 	} else {
 		_, err = trace.ReadSetText(bytes.NewReader(data), nil)
 	}

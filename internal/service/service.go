@@ -12,9 +12,8 @@
 //     over both trace files' raw bytes plus the analysis parameters
 //     (worker count deliberately excluded: reports are worker-
 //     independent). Resubmitting an identical pair is a cache hit served
-//     from the store with no ingestion, NLR, or FCA work; concurrent
-//     submissions of the same pair share one in-flight run (store
-//     single-flight).
+//     from the store with no ingestion, NLR, or FCA work; a submission of
+//     a pair that is already queued or running joins that job.
 //   - Failures are classified. Transient errors (ErrTransient, anything
 //     exposing Temporary() bool) retry with capped exponential backoff
 //     and deterministic per-job jitter; everything else — parse errors,
@@ -55,7 +54,6 @@ import (
 	"difftrace/internal/obs"
 	"difftrace/internal/obs/olog"
 	"difftrace/internal/obs/telemetry"
-	"difftrace/internal/parlot"
 	"difftrace/internal/resilience"
 	"difftrace/internal/store"
 	"difftrace/internal/trace"
@@ -680,47 +678,39 @@ func (s *Service) backoff(ctx context.Context, jobID string, attempt int) bool {
 }
 
 // attempt runs one pipeline pass for the job under its deadline, with
-// panic isolation and single-flight dedup.
+// panic isolation. Submit already joins a resubmitted pair to its queued or
+// running job, so at most one attempt per pair key runs at a time. The
+// fault-injection hooks run inside the panic guard so injected panics
+// exercise the same isolation path as real ones.
 func (s *Service) attempt(ctx context.Context, j *job, attempt int, timeout time.Duration) error {
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	// Single-flight: concurrent attempts for the same pair key share one
-	// run. The winner persists the artifacts; followers just observe the
-	// error (artifacts are read back from the store either way). The
-	// fault-injection hooks run inside the panic guard so injected panics
-	// exercise the same isolation path as real ones.
-	_, shared, err := s.store.Do(j.id, func() (any, error) {
-		serr := resilience.Guard("service.run", j.id, func() error {
-			if hook := s.cfg.Hooks.BeforeAttempt; hook != nil {
-				if herr := hook(j.id, attempt); herr != nil {
-					return herr
-				}
+	serr := resilience.Guard("service.run", j.id, func() error {
+		if hook := s.cfg.Hooks.BeforeAttempt; hook != nil {
+			if herr := hook(j.id, attempt); herr != nil {
+				return herr
 			}
-			if hold := s.cfg.Hooks.HoldJob; hold > 0 {
-				//lint:allow wallclock fault-injection hook: the hold exists to trigger deadline paths in tests
-				t := time.NewTimer(hold)
-				select {
-				case <-t.C:
-				case <-actx.Done():
-					t.Stop()
-					return fmt.Errorf("service: job %s held past its deadline: %w", j.id, actx.Err())
-				}
-			}
-			return s.pipeline(actx, j)
-		})
-		if serr != nil {
-			if strings.HasPrefix(serr.Err.Error(), "panic:") {
-				// Guard wraps recovered panics with this prefix.
-				s.cfg.Obs.Counter("service.panics").Add(1)
-			}
-			return nil, serr
 		}
-		return nil, nil
+		if hold := s.cfg.Hooks.HoldJob; hold > 0 {
+			//lint:allow wallclock fault-injection hook: the hold exists to trigger deadline paths in tests
+			t := time.NewTimer(hold)
+			select {
+			case <-t.C:
+			case <-actx.Done():
+				t.Stop()
+				return fmt.Errorf("service: job %s held past its deadline: %w", j.id, actx.Err())
+			}
+		}
+		return s.pipeline(actx, j)
 	})
-	if shared {
-		s.cfg.Obs.Counter("service.dedup_shared").Add(1)
+	if serr == nil {
+		return nil
 	}
-	return err
+	if strings.HasPrefix(serr.Err.Error(), "panic:") {
+		// Guard wraps recovered panics with this prefix.
+		s.cfg.Obs.Counter("service.panics").Add(1)
+	}
+	return serr
 }
 
 // pipeline is one full analysis run: parse both pinned inputs, diff,
@@ -761,18 +751,18 @@ func (s *Service) pipeline(ctx context.Context, j *job) error {
 	opts := trace.ReadOptions{Mode: trace.Lenient, Obs: run}
 	prog.SetStage("ingest")
 	sp := run.StartSpan("ingest")
-	normal, nrep, err := readSource(ctx, normalRaw, reg, opts)
+	normal, nrep, err := core.ReadSource(ctx, bytes.NewReader(normalRaw), reg, opts)
 	if err != nil {
 		return fmt.Errorf("service: normal trace: %w", err)
 	}
-	faulty, frep, err := readSource(ctx, faultyRaw, reg, opts)
+	faulty, frep, err := core.ReadSource(ctx, bytes.NewReader(faultyRaw), reg, opts)
 	if err != nil {
 		return fmt.Errorf("service: faulty trace: %w", err)
 	}
 	sp.End()
 	nrep.Source, frep.Source = "normal", "faulty"
-	run.AddIngest(ingestTotals(nrep))
-	run.AddIngest(ingestTotals(frep))
+	run.AddIngest(core.IngestTotals(nrep))
+	run.AddIngest(core.IngestTotals(frep))
 
 	flt, err := filter.ParseSpec(j.req.Filter)
 	if err != nil {
@@ -844,38 +834,6 @@ func writeIngestSection(w *bytes.Buffer, reps ...*resilience.IngestReport) {
 			continue
 		}
 		fmt.Fprint(w, "ingest "+rep.RenderTable())
-	}
-}
-
-// isPLOT1 reports whether raw carries the binary trace magic.
-func isPLOT1(raw []byte) bool {
-	return len(raw) >= 5 && string(raw[:5]) == "PLOT1"
-}
-
-// readSource parses raw trace bytes in either format: a PLOT1 input stays
-// compressed as a parlot.StreamSet, a text input reads into a
-// trace.TraceSet.
-func readSource(ctx context.Context, raw []byte, reg *trace.Registry, opts trace.ReadOptions) (core.Source, *resilience.IngestReport, error) {
-	if isPLOT1(raw) {
-		return parlot.ReadStreamSetContext(ctx, bytes.NewReader(raw), reg, opts)
-	}
-	return trace.ReadSetTextContext(ctx, bytes.NewReader(raw), reg, opts)
-}
-
-// ingestTotals folds an IngestReport into the manifest's ingestion entry
-// (the same conversion cmd/difftrace performs; obs stays dependency-free).
-func ingestTotals(rep *resilience.IngestReport) obs.Ingest {
-	if rep == nil {
-		return obs.Ingest{}
-	}
-	return obs.Ingest{
-		Source:            rep.Source,
-		Lenient:           rep.Lenient,
-		EventsKept:        rep.EventsKept,
-		EventsDropped:     rep.EventsDropped,
-		EventsSynthesized: rep.EventsSynthesized,
-		TracesAffected:    len(rep.Records()),
-		Quarantined:       rep.Quarantined(),
 	}
 }
 
@@ -1010,12 +968,4 @@ func (s *Service) restoreQueue() error {
 		s.cfg.Log.Info("queue restored", olog.Int("jobs", restored))
 	}
 	return nil
-}
-
-// String summarizes the service configuration (logs, /healthz).
-func (s *Service) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "difftraced store=%s concurrency=%d queue=%d workers=%d",
-		s.cfg.StoreDir, s.cfg.Concurrency, s.cfg.QueueDepth, s.cfg.Workers)
-	return b.String()
 }

@@ -20,10 +20,6 @@
 //     a resilience.IngestReport — the same Keep/Drop/Quarantine ledger
 //     the trace readers use — so an operator sees exactly what a crash
 //     cost, and a corrupt artifact can be inspected but never served.
-//
-// The store also provides single-flight run dedup: concurrent submissions
-// of the same key share one in-flight computation instead of racing to
-// produce (identical) artifacts.
 package store
 
 import (
@@ -35,7 +31,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"difftrace/internal/resilience"
 )
@@ -53,16 +48,6 @@ const artExt = ".art"
 // All methods are safe for concurrent use.
 type Store struct {
 	root string
-
-	mu      sync.Mutex
-	flights map[string]*flight
-}
-
-// flight is one in-progress single-flight computation.
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // Key returns the content address of raw input bytes: lowercase-hex
@@ -93,7 +78,7 @@ func PairKey(parts ...string) string {
 // CorruptStream for checksum mismatches). The report is never nil; a
 // clean store returns report.Clean() == true.
 func Open(dir string) (*Store, *resilience.IngestReport, error) {
-	s := &Store{root: dir, flights: make(map[string]*flight)}
+	s := &Store{root: dir}
 	for _, sub := range []string{s.objectsDir(), s.quarantineDir(), s.tmpDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -296,47 +281,6 @@ func (s *Store) Quarantined() ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// Do runs fn under single-flight dedup for key: if another Do with the
-// same key is already in flight, the call blocks and returns that
-// flight's result with shared == true instead of running fn again.
-// Results are not cached beyond the flight — persistence is Put's job —
-// so a failed computation can be retried immediately.
-func (s *Store) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
-	s.mu.Lock()
-	if f, inFlight := s.flights[key]; inFlight {
-		s.mu.Unlock()
-		<-f.done
-		return f.val, true, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	func() {
-		defer func() {
-			// A panicking fn must not strand waiters: record it as an
-			// error, release the flight, and re-raise for the caller's
-			// own panic discipline to handle.
-			if r := recover(); r != nil {
-				f.err = fmt.Errorf("store: in-flight computation panicked: %v", r)
-				s.finish(key, f)
-				//lint:allow panicdiscipline re-raising the leader's own panic after releasing waiters; swallowing it here would hide the fault from the caller's Guard
-				panic(r)
-			}
-		}()
-		f.val, f.err = fn()
-	}()
-	s.finish(key, f)
-	return f.val, false, f.err
-}
-
-func (s *Store) finish(key string, f *flight) {
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(f.done)
 }
 
 // checkName rejects keys/kinds that could escape the objects directory

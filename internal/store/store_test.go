@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"difftrace/internal/resilience"
@@ -240,115 +239,6 @@ func TestOpenLeavesForeignFilesAlone(t *testing.T) {
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("foreign file disturbed: %v", err)
-	}
-}
-
-func TestSingleFlightDedup(t *testing.T) {
-	s := openClean(t)
-	const waiters = 16
-	var calls atomic.Int64
-	var sharedCount atomic.Int64
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			val, shared, err := s.Do("pair-key", func() (any, error) {
-				calls.Add(1)
-				<-release
-				return "result", nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			if val != "result" {
-				t.Errorf("val = %v", val)
-			}
-			if shared {
-				sharedCount.Add(1)
-			}
-		}()
-	}
-	// Wait until the leader is inside fn, so every follower joins its
-	// flight rather than starting a fresh one.
-	for calls.Load() == 0 {
-	}
-	// Followers must be registered before release; give them a moment by
-	// blocking on the leader's flight from this goroutine too.
-	go func() {
-		s.Do("other-key", func() (any, error) { return nil, nil })
-		close(release)
-	}()
-	wg.Wait()
-	if got := calls.Load(); got < 1 || got > int64(waiters) {
-		t.Fatalf("fn ran %d times", got)
-	}
-	// At least the followers that joined before the leader finished must
-	// have shared; the leader itself never does.
-	if sharedCount.Load() >= waiters {
-		t.Fatalf("every call claims shared — no leader?")
-	}
-	if calls.Load()+sharedCount.Load() != waiters {
-		t.Fatalf("calls %d + shared %d != %d waiters", calls.Load(), sharedCount.Load(), waiters)
-	}
-}
-
-func TestSingleFlightErrorIsShared(t *testing.T) {
-	s := openClean(t)
-	wantErr := os.ErrDeadlineExceeded
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var followerErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-started
-		// Launch the follower against the in-flight leader, then release
-		// the leader; the follower either joins its flight (sees wantErr)
-		// or races past it and runs fresh (nil). Both are legal; hanging
-		// is not — wg.Wait() below would catch it.
-		done := make(chan struct{})
-		go func() {
-			_, _, followerErr = s.Do("k", func() (any, error) { return nil, nil })
-			close(done)
-		}()
-		close(release)
-		<-done
-	}()
-	_, shared, err := s.Do("k", func() (any, error) {
-		close(started)
-		<-release
-		return nil, wantErr
-	})
-	wg.Wait()
-	if shared || err != wantErr {
-		t.Fatalf("leader: shared:%v err:%v", shared, err)
-	}
-	if followerErr != nil && followerErr != wantErr {
-		t.Fatalf("follower err = %v", followerErr)
-	}
-	// Errors are not cached beyond the flight: a fresh Do runs again.
-	if _, shared, err := s.Do("k", func() (any, error) { return nil, nil }); shared || err != nil {
-		t.Fatalf("post-error Do: shared:%v err:%v", shared, err)
-	}
-}
-
-func TestSingleFlightPanicReleasesWaiters(t *testing.T) {
-	s := openClean(t)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic swallowed")
-			}
-		}()
-		s.Do("k", func() (any, error) { panic("boom") })
-	}()
-	// The flight map must be clean: a fresh Do on the same key runs.
-	val, shared, err := s.Do("k", func() (any, error) { return 42, nil })
-	if err != nil || shared || val != 42 {
-		t.Fatalf("post-panic Do = %v/%v/%v", val, shared, err)
 	}
 }
 

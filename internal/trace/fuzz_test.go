@@ -36,7 +36,7 @@ func FuzzReadSetText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		_, _ = ReadSetText(strings.NewReader(input), nil)
 
-		set, rep, err := ReadSetTextOptions(strings.NewReader(input), nil, ReadOptions{Mode: Lenient})
+		set, rep, err := ReadSetTextContext(nil, strings.NewReader(input), nil, ReadOptions{Mode: Lenient})
 		if err != nil {
 			t.Fatalf("lenient mode returned error: %v", err)
 		}
@@ -45,7 +45,7 @@ func FuzzReadSetText(f *testing.F) {
 				got, rep.EventsKept, rep.EventsSynthesized)
 		}
 		// Bounded lenient reads must also never error.
-		set, rep, err = ReadSetTextOptions(strings.NewReader(input), nil, ReadOptions{
+		set, rep, err = ReadSetTextContext(nil, strings.NewReader(input), nil, ReadOptions{
 			Mode: Lenient, MaxLineBytes: 64, MaxEventsPerTrace: 8, MaxTraces: 4,
 		})
 		if err != nil {
@@ -64,7 +64,7 @@ func FuzzLenientRereadStable(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		set, _, err := ReadSetTextOptions(strings.NewReader(input), nil, ReadOptions{Mode: Lenient})
+		set, _, err := ReadSetTextContext(nil, strings.NewReader(input), nil, ReadOptions{Mode: Lenient})
 		if err != nil {
 			t.Fatalf("lenient: %v", err)
 		}

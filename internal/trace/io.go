@@ -197,23 +197,21 @@ var headerPrefix = []byte("# trace ")
 
 // ReadSetText parses the text format strictly into a TraceSet, interning
 // names into reg (pass nil for a fresh registry). It fails on the first
-// malformed line; use ReadSetTextOptions for bounded or lenient reads.
+// malformed line; use ReadSetTextContext for bounded or lenient reads. It
+// remains next to ReadSetTextContext because the benchmark module under
+// _perfbench calls it.
 func ReadSetText(r io.Reader, reg *Registry) (*TraceSet, error) {
-	s, _, err := ReadSetTextOptions(r, reg, ReadOptions{})
+	s, _, err := ReadSetTextContext(nil, r, reg, ReadOptions{})
 	return s, err
 }
 
-// ReadSetTextOptions parses the text format under opts. The IngestReport is
+// ReadSetTextContext parses the text format under opts. The IngestReport is
 // always non-nil and accounts for every event: after a lenient read,
 // set.TotalEvents() == report.EventsKept + report.EventsSynthesized, and a
 // lenient read returns a nil error for any input (malformed content is
 // salvaged, not fatal). Strict errors name the offending line and trace.
-func ReadSetTextOptions(r io.Reader, reg *Registry, opts ReadOptions) (*TraceSet, *resilience.IngestReport, error) {
-	return ReadSetTextContext(nil, r, reg, opts)
-}
-
-// ReadSetTextContext is ReadSetTextOptions with cooperative cancellation:
-// the resumable-line loop checks ctx between lines, so a hung or oversized
+//
+// The resumable-line loop checks ctx between lines, so a hung or oversized
 // ingest can be aborted mid-stream. Cancellation is an abort, not
 // corruption — even a Lenient read returns the ctx error (wrapped, so
 // errors.Is sees context.Canceled/DeadlineExceeded) together with the

@@ -59,7 +59,7 @@ func TestRoundTripLosslessBothModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ReadMode{Strict, Lenient} {
-		got, rep, err := ReadSetTextOptions(bytes.NewReader(buf.Bytes()), nil, ReadOptions{Mode: mode})
+		got, rep, err := ReadSetTextContext(nil, bytes.NewReader(buf.Bytes()), nil, ReadOptions{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -84,7 +84,7 @@ func accounting(t *testing.T, s *TraceSet, rep *resilience.IngestReport) {
 
 func TestLenientMalformedLineSalvage(t *testing.T) {
 	in := "# trace 0.0\ncall main\n@@@garbage@@@\ncall MPI_Init\njump nowhere\nret MPI_Init\n"
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLenientMalformedLineSalvage(t *testing.T) {
 
 func TestLenientGarbageHeaderQuarantine(t *testing.T) {
 	in := "# trace 0.0\ncall main\n# trace x.y\ncall ghost\nret ghost\n# trace 1.0\ncall main\n"
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLenientGarbageHeaderQuarantine(t *testing.T) {
 
 func TestLenientOrphansBeforeHeader(t *testing.T) {
 	in := "call early\ntruncated\n# trace 0.0\ncall main\nret main\n"
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLenientOrphansBeforeHeader(t *testing.T) {
 
 func TestLenientUnbalancedRetDropped(t *testing.T) {
 	in := "# trace 0.0\nret NoSuchCall\ncall main\nret main\n"
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLenientUnbalancedRetDropped(t *testing.T) {
 // when salvage dropped lines from it: its unbalanced stack is real data.
 func TestLenientNoAutoCloseOnMarkedTruncated(t *testing.T) {
 	in := "# trace 3.0\ncall main\ncall MPI_Recv\n@@@garbage@@@\ntruncated\n"
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +186,13 @@ func TestMaxLineBytes(t *testing.T) {
 	in := "# trace 0.0\ncall main\ncall " + long + "\nret main\n"
 
 	// Strict: descriptive error naming line and trace.
-	_, _, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{MaxLineBytes: 256})
+	_, _, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{MaxLineBytes: 256})
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "trace 0.0") {
 		t.Fatalf("strict oversize error = %v", err)
 	}
 
 	// Lenient: line dropped, scan continues, trace marked Truncated.
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxLineBytes: 256})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxLineBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMaxLineBytesHugeLine(t *testing.T) {
 		b.WriteString("0123456789abcdef") // 1 MiB name
 	}
 	b.WriteString("\ncall main\n")
-	s, rep, err := ReadSetTextOptions(strings.NewReader(b.String()), nil, ReadOptions{Mode: Lenient, MaxLineBytes: 1 << 10})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(b.String()), nil, ReadOptions{Mode: Lenient, MaxLineBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +237,12 @@ func TestMaxEventsPerTrace(t *testing.T) {
 	}
 	in := b.String()
 
-	_, _, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{MaxEventsPerTrace: 5})
+	_, _, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{MaxEventsPerTrace: 5})
 	if err == nil || !strings.Contains(err.Error(), "MaxEventsPerTrace") {
 		t.Fatalf("strict cap error = %v", err)
 	}
 
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxEventsPerTrace: 5})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxEventsPerTrace: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +260,12 @@ func TestMaxEventsPerTrace(t *testing.T) {
 func TestMaxTraces(t *testing.T) {
 	in := "# trace 0.0\ncall a\n# trace 1.0\ncall b\n# trace 2.0\ncall c\nret c\n# trace 0.0\ncall d\n"
 
-	_, _, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{MaxTraces: 2})
+	_, _, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{MaxTraces: 2})
 	if err == nil || !strings.Contains(err.Error(), "MaxTraces") {
 		t.Fatalf("strict cap error = %v", err)
 	}
 
-	s, rep, err := ReadSetTextOptions(strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxTraces: 2})
+	s, rep, err := ReadSetTextContext(nil, strings.NewReader(in), nil, ReadOptions{Mode: Lenient, MaxTraces: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

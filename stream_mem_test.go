@@ -92,11 +92,11 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 		len(normalBlob), len(faultyBlob), 2*threads*eventsPerThread, float64(expansion)/budget)
 
 	reg := trace.NewRegistry()
-	normal, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
+	normal, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(normalBlob), reg, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, _, err := parlot.ReadStreamSetOptions(bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
+	faulty, _, err := parlot.ReadStreamSetContext(nil, bytes.NewReader(faultyBlob), reg, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	baseline := ms.HeapAlloc
 
-	sampler := obs.StartHeapSampler(time.Millisecond)
+	sampler := obs.StartHeapSamplerInto(time.Millisecond, nil)
 	rep, err := core.DiffRun(normal, faulty, core.Config{
 		Filter: filter.Everything(), Attr: attr.Config{Kind: attr.Single, Freq: attr.Actual},
 		Linkage: cluster.Ward, Workers: 2,
