@@ -42,11 +42,10 @@ race:
 # the bitset FCA rewrite).
 determinism:
 	$(GO) test -race -short -count=2 \
-		-run 'Determinism|Workers|ParallelMatchesSequential|ParallelSweep|Ghost|Divergence|Query' \
+		-run 'Determinism|Workers|ParallelMatchesSequential|ParallelSweep|Ghost|Divergence' \
 		./internal/core ./internal/jaccard ./internal/rank ./internal/obs \
 		./internal/experiments ./internal/resilience/chaos ./internal/service \
-		./internal/query ./internal/diffnlr \
-		./cmd/difftrace .
+		./internal/diffnlr ./cmd/difftrace .
 
 # Worker-sweep benchmarks; regenerates the BENCH_parallel.json baseline.
 # On a single-CPU host the sweep measures overhead, not speedup (the JSON

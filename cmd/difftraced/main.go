@@ -52,7 +52,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", service.DefaultJobTimeout, "per-attempt job deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
 	holdJob := flag.Duration("hold-job", 0, "fault injection: hold every job this long before analysis (e2e tests land signals mid-job with it)")
-	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error")
+	logLevel := flag.String("log-level", "info", "minimum structured-log level: info, warn, error")
 	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring size (last N completed jobs)")
 	flag.Parse()
 

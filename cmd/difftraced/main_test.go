@@ -292,7 +292,7 @@ func TestDaemonTelemetryE2E(t *testing.T) {
 	storeDir := t.TempDir()
 	// The hold keeps the job observably mid-run long enough for the live
 	// progress poll and the mid-run scrape.
-	d := startDaemon(t, "-store", storeDir, "-hold-job", "2s", "-log-level", "debug")
+	d := startDaemon(t, "-store", storeDir, "-hold-job", "2s", "-log-level", "info")
 
 	code, jr := d.postDiff(t, normal, faulty)
 	if code != http.StatusAccepted {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,5 +95,39 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("oddeven", "none", "/nonexistent-dir/x.trace", "text", 4, 4, 5); err == nil {
 		t.Error("unwritable output accepted")
+	}
+}
+
+// TestRunDeterministicAcrossGOMAXPROCS pins that every app and fault the
+// command offers writes byte-identical files, text and binary, whatever
+// the number of threads the scheduler runs goroutines on.
+func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	dir := t.TempDir()
+	for _, c := range []struct{ app, fault string }{
+		{"oddeven", "none"}, {"oddeven", "swapBug"}, {"oddeven", "dlBug"},
+		{"ilcs", "none"}, {"ilcs", "ompBug"}, {"ilcs", "wrongSize"}, {"ilcs", "wrongOp"},
+		{"lulesh", "none"}, {"lulesh", "skipLeapFrog"},
+	} {
+		for _, format := range []string{"text", "binary"} {
+			name := c.app + "-" + c.fault + "-" + format
+			var want []byte
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				out := filepath.Join(dir, name)
+				if err := run(c.app, c.fault, out, format, 0, 4, 5); err != nil {
+					t.Fatalf("%s, GOMAXPROCS=%d: %v", name, procs, err)
+				}
+				got, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s: output under GOMAXPROCS=%d differs from GOMAXPROCS=1", name, procs)
+				}
+			}
+		}
 	}
 }

@@ -11,6 +11,3 @@
 // paper's tables and figures in bench_test.go. See README.md, DESIGN.md and
 // EXPERIMENTS.md.
 package difftrace
-
-// Version identifies this reproduction.
-const Version = "1.0.0"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -17,6 +18,14 @@ func smallConfig() Config {
 		Procs: 4, Workers: 2, Cities: 10, Seed: 7,
 		StableRounds: 2, MaxRounds: 8,
 	}
+}
+
+// exec is CPU_Exec for a fresh random restart: a seeded random tour
+// improved by 2-opt to a local minimum; returns the tour length.
+func (t *tsp) exec(seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	v, _ := t.execFrom(rng.Perm(t.n))
+	return v
 }
 
 func TestTSPSolverFindsLocalMinimum(t *testing.T) {

@@ -42,14 +42,6 @@ func (t *tsp) tourLen(tour []int) float64 {
 	return total
 }
 
-// exec is CPU_Exec for a fresh random restart: a seeded random tour
-// improved by 2-opt to a local minimum; returns the tour length.
-func (t *tsp) exec(seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	v, _ := t.execFrom(rng.Perm(t.n))
-	return v
-}
-
 // execFrom is CPU_Exec refining a given starting tour (the iterated local
 // search mode: the framework hands workers the current champion to refine).
 // It 2-opts to a local minimum and returns the length and the tour.

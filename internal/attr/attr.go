@@ -17,7 +17,6 @@ import (
 
 	"difftrace/internal/fca"
 	"difftrace/internal/nlr"
-	"difftrace/internal/trace"
 )
 
 // Interner is the dense attribute universe of one diff run, re-exported so
@@ -119,22 +118,13 @@ func ParseConfig(s string) (Config, error) {
 
 // AllConfigs returns the six Kind×Freq combinations of Table V — the sweep
 // space of the paper's ranking tables. The Context kind is an extension
-// and is not part of the canonical sweep; see AllConfigsExtended.
+// and is not part of the canonical sweep.
 func AllConfigs() []Config {
 	var out []Config
 	for _, k := range []Kind{Single, Double} {
 		for _, f := range []Freq{Actual, Log10, NoFreq} {
 			out = append(out, Config{Kind: k, Freq: f})
 		}
-	}
-	return out
-}
-
-// AllConfigsExtended adds the caller→callee Context kind to the sweep.
-func AllConfigsExtended() []Config {
-	out := AllConfigs()
-	for _, f := range []Freq{Actual, Log10, NoFreq} {
-		out = append(out, Config{Kind: Context, Freq: f})
 	}
 	return out
 }
@@ -214,24 +204,4 @@ func render(attrName string, freq int, f Freq) string {
 	default:
 		return attrName
 	}
-}
-
-// ExtractContext mines caller→callee attributes ("caller>callee") from a
-// trace's enter/exit nesting; top-level calls attribute to the pseudo-root
-// "_". The trace must retain its return events for the nesting to be
-// reconstructible (use a "0…" filter spec).
-func ExtractContext(tr *trace.Trace, reg *trace.Registry, f Freq) fca.AttrSet {
-	return ExtractContextIn(fca.NewInterner(), tr, reg, f)
-}
-
-// ExtractContextIn is ExtractContext binding the result to a shared
-// interner (see ExtractIn for the concurrency contract). It drives the
-// same ContextStream accumulator the core pipeline uses, so the two share
-// one definition of the caller→callee relation.
-func ExtractContextIn(in *Interner, tr *trace.Trace, reg *trace.Registry, f Freq) fca.AttrSet {
-	cs := NewContextStream()
-	for _, e := range tr.Events {
-		cs.Push(reg.Name(e.Func), e.Kind)
-	}
-	return cs.ExtractIn(in, f)
 }

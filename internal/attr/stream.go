@@ -5,12 +5,12 @@ import (
 	"difftrace/internal/trace"
 )
 
-// ContextStream incrementally mines caller→callee attributes from a pushed
-// event stream — the core pipeline's form of ExtractContext, which
-// ExtractContextIn is a thin wrapper over, so every extraction runs the
-// identical accumulator and cannot diverge. State is
-// the open-call stack plus the frequency table: bounded by call depth and
-// distinct caller>callee pairs, never by trace length.
+// ContextStream incrementally mines caller→callee attributes ("caller>callee")
+// from a pushed enter/exit event stream; top-level calls attribute to the
+// pseudo-root "_". The stream must retain its return events for the nesting
+// to be reconstructible (use a "0…" filter spec). State is the open-call
+// stack plus the frequency table: bounded by call depth and distinct
+// caller>callee pairs, never by trace length.
 type ContextStream struct {
 	freqs map[string]int
 	stack []string
@@ -22,8 +22,7 @@ func NewContextStream() *ContextStream {
 }
 
 // Push feeds one event. Enter events attribute the callee to the current
-// stack top (pseudo-root "_" at top level); Exit events pop when balanced,
-// exactly as ExtractContext always treated materialized traces.
+// stack top (pseudo-root "_" at top level); Exit events pop when balanced.
 func (c *ContextStream) Push(name string, kind trace.EventKind) {
 	switch kind {
 	case trace.Enter:

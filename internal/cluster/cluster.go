@@ -13,7 +13,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -226,19 +225,6 @@ func (l *Linkage) CutK(k int) ([]int, error) {
 	return l.cut(l.N - k), nil
 }
 
-// CutDistance flattens by applying every merge with distance ≤ t.
-func (l *Linkage) CutDistance(t float64) []int {
-	applied := 0
-	for _, s := range l.Steps {
-		if s.Distance <= t {
-			applied++
-		} else {
-			break
-		}
-	}
-	return l.cut(applied)
-}
-
 // cut applies the first `merges` steps and returns canonical labels.
 func (l *Linkage) cut(merges int) []int {
 	parent := make([]int, l.N+merges)
@@ -271,31 +257,6 @@ func (l *Linkage) cut(merges int) []int {
 	return labels
 }
 
-// Cophenetic returns the cophenetic distance matrix: entry (i,j) is the
-// merge distance at which leaves i and j first share a cluster.
-func (l *Linkage) Cophenetic() [][]float64 {
-	members := make(map[int][]int, 2*l.N)
-	for i := 0; i < l.N; i++ {
-		members[i] = []int{i}
-	}
-	out := make([][]float64, l.N)
-	for i := range out {
-		out[i] = make([]float64, l.N)
-	}
-	for s, st := range l.Steps {
-		ma, mb := members[st.A], members[st.B]
-		for _, x := range ma {
-			for _, y := range mb {
-				out[x][y], out[y][x] = st.Distance, st.Distance
-			}
-		}
-		members[l.N+s] = append(append([]int{}, ma...), mb...)
-		delete(members, st.A)
-		delete(members, st.B)
-	}
-	return out
-}
-
 // Render prints the merge sequence (a textual dendrogram), with optional
 // leaf names.
 func (l *Linkage) Render(names []string) string {
@@ -315,132 +276,4 @@ func (l *Linkage) Render(names []string) string {
 			l.N+s, label(st.A), label(st.B), st.Distance, st.Size)
 	}
 	return b.String()
-}
-
-// RenderTree draws the dendrogram as an ASCII tree, children indented under
-// their merge node:
-//
-//	└─ 4.236
-//	   ├─ 1.000
-//	   │  ├─ T0
-//	   │  └─ T1
-//	   └─ T2
-func (l *Linkage) RenderTree(names []string) string {
-	if l.N == 0 {
-		return "(empty dendrogram)\n"
-	}
-	label := func(id int) string {
-		if id < l.N {
-			if names != nil && id < len(names) {
-				return names[id]
-			}
-			return fmt.Sprintf("obs%d", id)
-		}
-		return ""
-	}
-	var b strings.Builder
-	var walk func(id int, prefix string, last bool)
-	walk = func(id int, prefix string, last bool) {
-		branch, childPrefix := "├─ ", "│  "
-		if last {
-			branch, childPrefix = "└─ ", "   "
-		}
-		if id < l.N {
-			fmt.Fprintf(&b, "%s%s%s\n", prefix, branch, label(id))
-			return
-		}
-		st := l.Steps[id-l.N]
-		fmt.Fprintf(&b, "%s%s%.3f\n", prefix, branch, st.Distance)
-		walk(st.A, prefix+childPrefix, false)
-		walk(st.B, prefix+childPrefix, true)
-	}
-	root := l.N
-	if len(l.Steps) > 0 {
-		root = l.N + len(l.Steps) - 1
-	} else {
-		// Single observation: just the leaf.
-		fmt.Fprintf(&b, "└─ %s\n", label(0))
-		return b.String()
-	}
-	walk(root, "", true)
-	return b.String()
-}
-
-// Monotone reports whether merge distances are non-decreasing (guaranteed
-// for single/complete/average/weighted/ward; centroid and median can
-// invert — a property the tests pin down).
-func (l *Linkage) Monotone() bool {
-	for i := 1; i < len(l.Steps); i++ {
-		if l.Steps[i].Distance < l.Steps[i-1].Distance-1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// Labels pairs a cut with observation names, returning name→cluster.
-func Labels(names []string, labels []int) map[string]int {
-	out := make(map[string]int, len(names))
-	for i, n := range names {
-		if i < len(labels) {
-			out[n] = labels[i]
-		}
-	}
-	return out
-}
-
-// SortedClusterSizes is a test/diagnostic helper: the multiset of cluster
-// sizes in a labeling, sorted descending.
-func SortedClusterSizes(labels []int) []int {
-	counts := map[int]int{}
-	for _, l := range labels {
-		counts[l]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// CopheneticCorrelation computes the cophenetic correlation coefficient
-// (CPCC): the Pearson correlation between the original pairwise distances
-// and the dendrogram's cophenetic distances. Values near 1 mean the
-// dendrogram faithfully preserves the dissimilarity structure — a standard
-// diagnostic for choosing among the §II-F linkage methods.
-func (l *Linkage) CopheneticCorrelation(d [][]float64) (float64, error) {
-	if len(d) != l.N {
-		return 0, fmt.Errorf("cluster: distance matrix is %d×, dendrogram has %d observations", len(d), l.N)
-	}
-	if l.N < 3 {
-		return 0, fmt.Errorf("cluster: CPCC needs at least 3 observations")
-	}
-	c := l.Cophenetic()
-	var xs, ys []float64
-	for i := 0; i < l.N; i++ {
-		for j := i + 1; j < l.N; j++ {
-			xs = append(xs, d[i][j])
-			ys = append(ys, c[i][j])
-		}
-	}
-	mean := func(v []float64) float64 {
-		s := 0.0
-		for _, x := range v {
-			s += x
-		}
-		return s / float64(len(v))
-	}
-	mx, my := mean(xs), mean(ys)
-	var num, dx, dy float64
-	for k := range xs {
-		a, b := xs[k]-mx, ys[k]-my
-		num += a * b
-		dx += a * a
-		dy += b * b
-	}
-	if dx == 0 || dy == 0 {
-		return 0, fmt.Errorf("cluster: degenerate distances (zero variance)")
-	}
-	return num / math.Sqrt(dx*dy), nil
 }

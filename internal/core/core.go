@@ -760,8 +760,7 @@ func (o object) summarize(ctx context.Context, k int, table *nlr.Table) []nlr.El
 var summarizers = sync.Pool{New: func() any { return new(nlr.Summarizer) }}
 
 // extractContext mines caller→callee attributes from the object's raw
-// enter/exit stream through attr.ContextStream, the accumulator
-// attr.ExtractContext wraps.
+// enter/exit stream through attr.ContextStream.
 func (o object) extractContext(ctx context.Context, f attr.Freq) fca.AttrSet {
 	cs := attr.NewContextStream()
 	o.forEachEvent(ctx, func(fn uint32, kind trace.EventKind) {

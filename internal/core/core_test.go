@@ -293,28 +293,6 @@ func TestReportSummary(t *testing.T) {
 	}
 }
 
-func TestSuspectOverlap(t *testing.T) {
-	reg := trace.NewRegistry()
-	normal := collect(t, 16, reg, nil)
-	faulty := collect(t, 16, reg, swapPlan())
-	cfgA := DefaultConfig()
-	cfgA.Attr = attr.Config{Kind: attr.Single, Freq: attr.Actual}
-	repA, err := DiffRun(normal, faulty, cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := repA.SuspectOverlap(repA, 3); got != 1 {
-		t.Errorf("self overlap = %f", got)
-	}
-	same, _ := DiffRun(normal, normal, cfgA)
-	if got := repA.SuspectOverlap(same, 3); got != 0 {
-		t.Errorf("disjoint overlap = %f", got)
-	}
-	if got := same.SuspectOverlap(same, 3); got != 1 {
-		t.Errorf("empty-empty overlap = %f", got)
-	}
-}
-
 func TestContextAttributesRequireReturns(t *testing.T) {
 	reg := trace.NewRegistry()
 	normal := collect(t, 8, reg, nil)

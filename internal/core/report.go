@@ -106,29 +106,6 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// SuspectOverlap compares this report's thread suspects with another's
-// (e.g. two parameter combinations) as a Jaccard index over the top-k
-// sets — a simple way to see whether two knob settings agree.
-func (r *Report) SuspectOverlap(o *Report, k int) float64 {
-	a := r.Threads.TopSuspects(k, 1e-9)
-	b := o.Threads.TopSuspects(k, 1e-9)
-	sa := map[string]bool{}
-	for _, n := range a {
-		sa[n] = true
-	}
-	inter := 0
-	for _, n := range b {
-		if sa[n] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 func indent(s, prefix string) string {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	for i := range lines {

@@ -186,34 +186,3 @@ func Distance(edits []Edit) int {
 	}
 	return d
 }
-
-// Apply reconstructs b from a and the edit script; used to verify scripts.
-func Apply(a []string, edits []Edit) ([]string, error) {
-	var out []string
-	i := 0
-	for _, e := range edits {
-		switch e.Op {
-		case Equal:
-			for _, tok := range e.Tokens {
-				if i >= len(a) || a[i] != tok {
-					return nil, fmt.Errorf("diff: equal token %q does not match a[%d]", tok, i)
-				}
-				out = append(out, tok)
-				i++
-			}
-		case Delete:
-			for _, tok := range e.Tokens {
-				if i >= len(a) || a[i] != tok {
-					return nil, fmt.Errorf("diff: delete token %q does not match a[%d]", tok, i)
-				}
-				i++
-			}
-		case Insert:
-			out = append(out, e.Tokens...)
-		}
-	}
-	if i != len(a) {
-		return nil, fmt.Errorf("diff: script consumed %d of %d tokens of a", i, len(a))
-	}
-	return out, nil
-}

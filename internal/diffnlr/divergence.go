@@ -23,12 +23,7 @@ package diffnlr
 // triaging a fault needs: everything before this point is provably
 // identical.
 
-import (
-	"fmt"
-	"strings"
-
-	"difftrace/internal/nlr"
-)
+import "difftrace/internal/nlr"
 
 // DivergenceKind classifies how the faulty sequence departs from the
 // normal one at the divergence point.
@@ -157,27 +152,4 @@ func FindDivergence(normal, faulty []nlr.Element) *Divergence {
 		}
 	}
 	return d
-}
-
-// Describe renders the divergence as one human-readable sentence.
-func (d *Divergence) Describe() string {
-	var b strings.Builder
-	if d.Object != "" {
-		fmt.Fprintf(&b, "%s: ", d.Object)
-	}
-	switch d.Kind {
-	case FaultyStops:
-		fmt.Fprintf(&b, "faulty run stops before %s", d.Func)
-	case FaultyExtends:
-		fmt.Fprintf(&b, "faulty run continues with %s past the end of the normal run", d.Func)
-	case LoopCount:
-		fmt.Fprintf(&b, "loop around %s repeats differently (%s vs %s)", d.Func, d.NormalTok, d.FaultyTok)
-	default:
-		fmt.Fprintf(&b, "at %s the faulty run does %s instead of %s", d.Func, d.FaultyTok, d.NormalTok)
-	}
-	fmt.Fprintf(&b, " at token %d (events identical through %d)", d.TokenIndex, d.EventIndex)
-	if len(d.Context) > 0 {
-		fmt.Fprintf(&b, " after %s", strings.Join(d.Context, " "))
-	}
-	return b.String()
 }

@@ -99,11 +99,6 @@ func Named(name string) (*Plan, error) {
 	}
 }
 
-// Names lists the accepted Named() fault names.
-func Names() []string {
-	return []string{"none", "swapBug", "dlBug", "ompBug", "wrongSize", "wrongOp", "skipLeapFrog"}
-}
-
 // Plan is a set of faults for one run. The zero value is the fault-free
 // plan (the "normal" execution).
 type Plan struct {

@@ -36,17 +36,6 @@ func TestNamedPlans(t *testing.T) {
 	}
 }
 
-func TestNamesCoverAllPlans(t *testing.T) {
-	for _, n := range Names() {
-		if _, err := Named(n); err != nil {
-			t.Errorf("listed name %q does not resolve: %v", n, err)
-		}
-	}
-	if len(Names()) != 7 {
-		t.Errorf("Names() = %v", Names())
-	}
-}
-
 func TestNamedSwapBugMatchesPaper(t *testing.T) {
 	p, _ := Named("swapBug")
 	// §II-G: rank 5 after the seventh iteration.

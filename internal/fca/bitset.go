@@ -35,16 +35,6 @@ func (b BitSet) PopCount() int {
 	return n
 }
 
-// Empty reports whether no bit is set.
-func (b BitSet) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy.
 func (b BitSet) Clone() BitSet {
 	if len(b) == 0 {

@@ -28,9 +28,6 @@ func NewContextWith(in *Interner) *Context {
 	return &Context{in: in, index: make(map[string]int), attrs: &Set{in: in}}
 }
 
-// Interner returns the attribute universe this context interns into.
-func (c *Context) Interner() *Interner { return c.in }
-
 // adopt translates an intent into this context's universe. Same-interner
 // sets just clone; foreign sets re-intern their attributes in sorted order,
 // so the IDs this context assigns never depend on the caller's insertion
@@ -91,12 +88,6 @@ func (c *Context) Intent(g string) AttrSet {
 	return c.intents[i].Clone()
 }
 
-// Has reports the incidence relation I(g, m).
-func (c *Context) Has(g, m string) bool {
-	i, ok := c.index[g]
-	return ok && c.intents[i].Has(m)
-}
-
 // Extent computes B′ = {g ∈ G : B ⊆ g′} for an attribute set B.
 func (c *Context) Extent(b AttrSet) []string {
 	var out []string
@@ -119,11 +110,6 @@ func (c *Context) CommonIntent(objs []string) AttrSet {
 		out = out.Intersect(c.intentOf(g))
 	}
 	return out
-}
-
-// Closure computes B″ = (B′)′, the smallest closed intent containing B.
-func (c *Context) Closure(b AttrSet) AttrSet {
-	return c.CommonIntent(c.Extent(b))
 }
 
 // CrossTable renders the context like Table IV: rows are objects, columns
@@ -158,17 +144,4 @@ func (c *Context) CrossTable() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Density returns |I| / (|G|·|M|), the context sparseness that drives
-// lattice-construction cost (§III-B cites Kuznetsov & Obiedkov).
-func (c *Context) Density() float64 {
-	if len(c.objects) == 0 || c.attrs.Len() == 0 {
-		return 0
-	}
-	n := 0
-	for i := range c.objects {
-		n += c.intents[i].Len()
-	}
-	return float64(n) / float64(len(c.objects)*c.attrs.Len())
 }

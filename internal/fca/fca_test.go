@@ -63,7 +63,7 @@ func TestContextBasics(t *testing.T) {
 	if ctx.Attributes().Len() != 6 {
 		t.Errorf("|M| = %d", ctx.Attributes().Len())
 	}
-	if !ctx.Has("T0", "L0") || ctx.Has("T0", "L1") {
+	if !ctx.Intent("T0").Has("L0") || ctx.Intent("T0").Has("L1") {
 		t.Error("incidence wrong")
 	}
 	if got := ctx.Extent(NewAttrSet("L0")); !reflect.DeepEqual(got, []string{"T0", "T2"}) {
@@ -73,7 +73,7 @@ func TestContextBasics(t *testing.T) {
 		t.Errorf("common intent = %v", got)
 	}
 	// Closure of {MPI_Init} is the set of attributes shared by all traces.
-	if got := ctx.Closure(NewAttrSet("MPI_Init")); got.Len() != 4 {
+	if got := ctx.CommonIntent(ctx.Extent(NewAttrSet("MPI_Init"))); got.Len() != 4 {
 		t.Errorf("closure = %v", got)
 	}
 	// Empty object list derives to M.
@@ -99,17 +99,6 @@ func TestCrossTableRendering(t *testing.T) {
 	}
 }
 
-func TestContextDensity(t *testing.T) {
-	ctx := tableIVContext()
-	want := float64(4*5) / float64(4*6)
-	if got := ctx.Density(); got != want {
-		t.Errorf("density = %f, want %f", got, want)
-	}
-	if NewContext().Density() != 0 {
-		t.Error("empty density should be 0")
-	}
-}
-
 func latticeFromContext(ctx *Context) *Lattice {
 	l := NewLattice()
 	for _, g := range ctx.Objects() {
@@ -131,7 +120,7 @@ func TestFigure3Lattice(t *testing.T) {
 	if len(top.Extent) != 4 || top.Intent.Len() != 4 {
 		t.Errorf("top = %s", top)
 	}
-	bottom := l.Bottom()
+	bottom := cs[len(cs)-1]
 	if len(bottom.Extent) != 0 || bottom.Intent.Len() != 6 {
 		t.Errorf("bottom = %s", bottom)
 	}
@@ -179,7 +168,7 @@ func TestLatticeRender(t *testing.T) {
 
 func TestEmptyLattice(t *testing.T) {
 	l := NewLattice()
-	if l.Top() != nil || l.Bottom() != nil || l.Size() != 0 {
+	if l.Top() != nil || l.Size() != 0 {
 		t.Error("empty lattice should have no concepts")
 	}
 	if err := l.Verify(); err != nil {
@@ -330,7 +319,7 @@ func TestConceptsSortCache(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Size()
 		l.Top()
-		l.Bottom()
+		l.Concepts()
 		l.Concepts()
 	}
 	if got := sorts.Value() - before; got != 1 {

@@ -186,15 +186,6 @@ func (l *Lattice) Top() *Concept {
 	return cs[0]
 }
 
-// Bottom returns the infimum (intent = M); nil on an empty lattice.
-func (l *Lattice) Bottom() *Concept {
-	cs := l.Concepts()
-	if len(cs) == 0 {
-		return nil
-	}
-	return cs[len(cs)-1]
-}
-
 // Leq reports the lattice order c1 ≤ c2 (extent containment, equivalently
 // intent reverse containment).
 func Leq(c1, c2 *Concept) bool { return c2.Intent.SubsetOf(c1.Intent) }

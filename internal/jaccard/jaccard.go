@@ -188,18 +188,6 @@ func (j *JSM) Suspects() []Suspect {
 	return out
 }
 
-// TopSuspects returns up to k suspect names whose score exceeds eps.
-func (j *JSM) TopSuspects(k int, eps float64) []string {
-	var out []string
-	for _, s := range j.Suspects() {
-		if len(out) >= k || s.Score <= eps {
-			break
-		}
-		out = append(out, s.Name)
-	}
-	return out
-}
-
 // Distance converts the similarity matrix into the dissimilarity matrix
 // 1 − JSM that hierarchical clustering consumes.
 func (j *JSM) Distance() [][]float64 {

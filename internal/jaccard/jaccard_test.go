@@ -83,12 +83,6 @@ func TestDiffAndSuspects(t *testing.T) {
 	if sus[0].Name != "T1" {
 		t.Errorf("top suspect = %v", sus)
 	}
-	if top := d.TopSuspects(2, 0); top[0] != "T1" {
-		t.Errorf("TopSuspects = %v", top)
-	}
-	if top := d.TopSuspects(10, 1e9); len(top) != 0 {
-		t.Errorf("eps filter failed: %v", top)
-	}
 }
 
 func TestDiffMismatchErrors(t *testing.T) {

@@ -51,17 +51,5 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.Defs[id]
 }
 
-// UsesObject reports whether the subtree rooted at n mentions obj.
-func (p *Pass) UsesObject(n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // ErrorType is the predeclared error interface type.
 var ErrorType = types.Universe.Lookup("error").Type()

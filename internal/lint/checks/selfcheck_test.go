@@ -1,6 +1,7 @@
 package checks_test
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -8,18 +9,27 @@ import (
 	"difftrace/internal/lint/checks"
 )
 
-// moduleAudit runs every check over this module under the project config —
-// the invocation `make lint` runs — once per test binary, shared by
-// TestSelfCheck and TestDirectiveHygiene.
+// moduleAudit loads this module and runs every check over it under the
+// project config — the invocation `make lint` runs — once per test binary,
+// shared by TestSelfCheck, TestDirectiveHygiene and TestNothingUnreachable.
 var moduleAudit struct {
 	once   sync.Once
-	npkgs  int
+	loader *lint.Loader
+	pkgs   []*lint.Package
 	diags  []lint.Diagnostic
 	allows []lint.AllowStatus
 	err    error
 }
 
 func auditModule(t *testing.T) ([]lint.Diagnostic, []lint.AllowStatus) {
+	t.Helper()
+	loadModule(t)
+	return moduleAudit.diags, moduleAudit.allows
+}
+
+// loadModule returns the shared loader and this module's packages, auditing
+// them on first use.
+func loadModule(t *testing.T) (*lint.Loader, []*lint.Package) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source (a few seconds); run without -short")
@@ -36,17 +46,17 @@ func auditModule(t *testing.T) ([]lint.Diagnostic, []lint.AllowStatus) {
 			a.err = err
 			return
 		}
-		a.npkgs = len(pkgs)
+		a.loader, a.pkgs = loader, pkgs
 		runner := lint.NewRunner(checks.All(), lint.ProjectConfig(), loader.ModRoot)
 		a.diags, a.allows = runner.Audit(pkgs)
 	})
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	if a.npkgs < 30 {
-		t.Fatalf("loaded only %d packages — module discovery is broken", a.npkgs)
+	if len(a.pkgs) < 30 {
+		t.Fatalf("loaded only %d packages — module discovery is broken", len(a.pkgs))
 	}
-	return a.diags, a.allows
+	return a.loader, a.pkgs
 }
 
 // TestSelfCheck is the enforced-by-construction gate: the analyzer must run
@@ -57,5 +67,21 @@ func TestSelfCheck(t *testing.T) {
 	diags, _ := auditModule(t)
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestNothingUnreachable holds the module to the reachability rule of
+// unreachable, with the benchmark module's main as one more binary: no
+// package but the test-support ones lies outside every binary's imports,
+// and no function or method in a shipped package lies outside every root's
+// reach.
+func TestNothingUnreachable(t *testing.T) {
+	loader, pkgs := loadModule(t)
+	findings, err := unreachable(loader, pkgs, []string{filepath.Join(loader.ModRoot, "_perfbench")}, testSupport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
 	}
 }

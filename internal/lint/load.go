@@ -101,7 +101,7 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if names, _ := l.goFiles(path); len(names) > 0 {
+		if names, _ := l.goFiles(path, false); len(names) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -131,9 +131,10 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.load(asPath, dir, "", nil)
 }
 
-// goFiles lists the non-test .go files in dir that build for the current
-// context (go/build applies //go:build constraints and GOOS/GOARCH rules).
-func (l *Loader) goFiles(dir string) ([]string, error) {
+// goFiles lists the .go files in dir that build for the current context
+// (go/build applies //go:build constraints and GOOS/GOARCH rules): the
+// non-test files, or with tests set the _test.go files.
+func (l *Loader) goFiles(dir string, tests bool) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -142,7 +143,7 @@ func (l *Loader) goFiles(dir string) ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") != tests {
 			continue
 		}
 		if ok, err := ctx.MatchFile(dir, n); err != nil || !ok {
@@ -175,13 +176,131 @@ func (l *Loader) load(path, dir, modPath string, stack []string) (*Package, erro
 }
 
 func (l *Loader) doLoad(path, dir, modPath string, stack []string) (*Package, error) {
-	names, err := l.goFiles(dir)
+	names, err := l.goFiles(dir, false)
 	if err != nil {
 		return nil, err
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
+	files, err := l.parse(dir, names)
+	if err != nil {
+		return nil, err
+	}
+	tpkg, info, err := l.check(path, files, &shimImporter{l: l, stack: stack})
+	if err != nil {
+		return nil, err
+	}
+	return &Package{
+		Path: path, ModulePath: modPath, Dir: dir,
+		Fset: l.Fset, Files: files, Types: tpkg, Info: info,
+	}, nil
+}
+
+// LoadTests type-checks the _test.go files in pkg's directory in the
+// loader's universe, so a test's references to other packages resolve to
+// the same declarations the loaded packages make. It returns the
+// in-package tests (checked together with pkg's own files) and the
+// external _test package, each when present; a returned Package's Files
+// are its test files only. The external package is checked as go test
+// builds it, against pkg together with its in-package tests (see
+// testImporter). The loader's memo is untouched: later imports of pkg
+// still see the package without its tests.
+func (l *Loader) LoadTests(pkg *Package) ([]*Package, error) {
+	names, err := l.goFiles(pkg.Dir, true)
+	if err != nil {
+		return nil, err
+	}
+	files, err := l.parse(pkg.Dir, names)
+	if err != nil {
+		return nil, err
+	}
+	var internal, external []*ast.File
+	for _, f := range files {
+		if f.Name.Name == pkg.Types.Name() {
+			internal = append(internal, f)
+		} else {
+			external = append(external, f)
+		}
+	}
+	var out []*Package
+	var imp types.ImporterFrom = &shimImporter{l: l}
+	for _, group := range []struct {
+		path  string
+		files []*ast.File
+		own   []*ast.File
+	}{
+		{pkg.Path, internal, pkg.Files},
+		{pkg.Path + "_test", external, nil},
+	} {
+		if len(group.files) == 0 {
+			continue
+		}
+		tpkg, info, err := l.check(group.path, append(append([]*ast.File(nil), group.own...), group.files...), imp)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, &Package{
+			Path: group.path, ModulePath: pkg.ModulePath, Dir: pkg.Dir,
+			Fset: l.Fset, Files: group.files, Types: tpkg, Info: info,
+		})
+		// The external group, checked next, sees pkg with its in-package tests.
+		imp = &testImporter{l: l, variant: tpkg, memo: make(map[string]*types.Package)}
+	}
+	return out, nil
+}
+
+// testImporter resolves the imports of an external test package the way go
+// test builds it: the package under test is the variant checked with its
+// in-package test files, so an export_test.go helper is visible, and every
+// module package that imports it, directly or not, is checked again against
+// that variant, so a type the test passes between them stays one type. Any
+// other package comes from the loader's memo.
+type testImporter struct {
+	l       *Loader
+	variant *types.Package
+	memo    map[string]*types.Package // re-checked dependents by path
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	return t.ImportFrom(path, t.l.ModRoot, 0)
+}
+
+func (t *testImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if path == t.variant.Path() {
+		return t.variant, nil
+	}
+	if p, ok := t.memo[path]; ok {
+		return p, nil
+	}
+	p, err := (&shimImporter{l: t.l}).ImportFrom(path, srcDir, mode)
+	if err != nil || !dependsOn(p, t.variant.Path(), make(map[*types.Package]bool)) {
+		return p, err
+	}
+	p, _, err = t.l.check(path, t.l.pkgs[path].Files, t)
+	if err != nil {
+		return nil, err
+	}
+	t.memo[path] = p
+	return p, nil
+}
+
+// dependsOn reports whether p imports path, directly or not.
+func dependsOn(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[p] {
+		return false
+	}
+	seen[p] = true
+	for _, imp := range p.Imports() {
+		if imp.Path() == path || dependsOn(imp, path, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// parse parses the named files of dir, comments included.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
@@ -190,6 +309,12 @@ func (l *Loader) doLoad(path, dir, modPath string, stack []string) (*Package, er
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// check type-checks files as the package path, failing on the first type
+// error.
+func (l *Loader) check(path string, files []*ast.File, imp types.ImporterFrom) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -200,17 +325,14 @@ func (l *Loader) doLoad(path, dir, modPath string, stack []string) (*Package, er
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: &shimImporter{l: l, stack: stack},
+		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.Fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, typeErrs[0])
+		return nil, nil, fmt.Errorf("lint: type-checking %s: %w", path, typeErrs[0])
 	}
-	return &Package{
-		Path: path, ModulePath: modPath, Dir: dir,
-		Fset: l.Fset, Files: files, Types: tpkg, Info: info,
-	}, nil
+	return tpkg, info, nil
 }
 
 // shimImporter routes module-internal imports back through the loader (so

@@ -54,10 +54,6 @@ func (mp *ModulePass) Fact(key string, build func() any) any {
 	return v
 }
 
-// Root returns the absolute directory diagnostics are relativized against
-// (the module root in real runs, the fixture root under linttest).
-func (mp *ModulePass) Root() string { return mp.runner.relRoot }
-
 // Fset returns the shared FileSet all loaded packages position against.
 func (mp *ModulePass) Fset() *token.FileSet {
 	if len(mp.Pkgs) == 0 {
@@ -99,10 +95,4 @@ func (mp *ModulePass) ReportAt(pkgRel, file string, line, col int, chain []strin
 		Message: fmt.Sprintf(format, args...),
 		Chain:   chain,
 	})
-}
-
-// Reportf is ReportAt for a token.Pos inside pkg.
-func (mp *ModulePass) Reportf(pkg *Package, pos token.Pos, chain []string, format string, args ...any) {
-	file, line, col := mp.RelPosition(pos)
-	mp.ReportAt(mp.PkgRel(pkg), file, line, col, chain, format, args...)
 }

@@ -161,10 +161,6 @@ func Build(mp *lint.ModulePass) *Set {
 // Func returns the summary for the function with the given key, or nil.
 func (s *Set) Func(key string) *FuncSummary { return s.byFunc[key] }
 
-// Unordered reports whether the function's returns carry map-iteration
-// order, directly or through the module-wide ORDER fixpoint.
-func (s *Set) Unordered(fnKey string) bool { return s.unorderedFn[fnKey] }
-
 // ResolveUnordered reports whether a source ref carries map-iteration
 // order under the closed fixpoint.
 func (s *Set) ResolveUnordered(ref string) bool {

@@ -147,7 +147,7 @@ func workCtx(ctx context.Context, n int) {}
 func TestOrderFixpoint(t *testing.T) {
 	s := summary.Build(passFor(t, writeModule(t, testModule())))
 
-	if !s.Unordered("sm/order.Keys") {
+	if !s.ResolveUnordered("call:sm/order.Keys") {
 		t.Error("order.Keys should be unordered: it returns range-collected keys")
 	}
 	if !s.ResolveUnordered("field:sm.Cache.hot") {

@@ -138,9 +138,6 @@ func NewWorld(n, eagerLimit int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
-
 // AttachClock installs an OTF logical-clock recorder (otf.NewLog(n)).
 // Every point-to-point and collective operation then ticks Lamport and
 // vector clocks, enabling happened-before mining over the execution

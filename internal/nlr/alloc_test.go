@@ -17,7 +17,7 @@ func TestExtendPushAllocsNothing(t *testing.T) {
 			s.Push("MPI_Send")
 			s.Push("MPI_Recv")
 		}
-		if got := s.Tokens(); len(got) != 1 || got[0] != "L0^4" {
+		if got := Tokens(s.Elements()); len(got) != 1 || got[0] != "L0^4" {
 			t.Fatalf("K=%d: warm-up summarized to %v, want [L0^4]", k, got)
 		}
 		if avg := testing.AllocsPerRun(1000, func() {
@@ -26,7 +26,7 @@ func TestExtendPushAllocsNothing(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("K=%d: %.2f allocs per extending iteration, want 0", k, avg)
 		}
-		if got := s.Tokens(); len(got) != 1 || got[0] != "L0^1005" {
+		if got := Tokens(s.Elements()); len(got) != 1 || got[0] != "L0^1005" {
 			t.Fatalf("K=%d: summarized to %v, want [L0^1005]", k, got)
 		}
 	}
@@ -50,7 +50,7 @@ func TestRefoldAllocsNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, iter); avg != 0 {
 		t.Errorf("%.2f allocs per outer iteration, want 0", avg)
 	}
-	if got := s.Tokens(); len(got) != 1 || got[0] != "L1^505" {
+	if got := Tokens(s.Elements()); len(got) != 1 || got[0] != "L1^505" {
 		t.Fatalf("summarized to %v, want [L1^505]", got)
 	}
 }

@@ -197,15 +197,11 @@ func (t *Table) lookup(sig []byte) (int, bool) {
 	return id, ok
 }
 
-// Has reports whether body is already interned, without interning it.
-// The Reduce procedure uses this as the paper's hash-table heuristic:
-// a body already discovered elsewhere folds after only two repetitions
-// (Table III's T0/T3 loop just twice yet are summarized as L^2).
-func (t *Table) Has(body []Element) bool {
-	return t.has(appendSig(nil, body), body)
-}
-
-// has is Has with body's signature already built.
+// has reports whether body is already interned, without interning it; sig
+// is body's signature. The Reduce procedure uses this as the paper's
+// hash-table heuristic: a body already discovered elsewhere folds after
+// only two repetitions (Table III's T0/T3 loop just twice yet are
+// summarized as L^2).
 func (t *Table) has(sig []byte, body []Element) bool {
 	if t.base != nil && !t.hasLocalRef(body) {
 		if _, ok := t.base.lookup(sig); ok {
@@ -614,15 +610,6 @@ func (s *Summarizer) Elements() []Element {
 	return out
 }
 
-// Tokens renders the current sequence as NLR tokens (Table III style).
-func (s *Summarizer) Tokens() []string {
-	out := make([]string, len(s.slots))
-	for j := range s.slots {
-		out[j] = s.element(j).Token()
-	}
-	return out
-}
-
 // Tokens renders a summarized element sequence as tokens.
 func Tokens(elems []Element) []string {
 	out := make([]string, len(elems))
@@ -661,7 +648,7 @@ func Expand(elems []Element) []string {
 
 // ExpandedLen returns the number of tokens Expand would produce, computed
 // by loop arithmetic over the summarized form — O(summary size), no
-// materialization. The query, divergence and progress layers use it to
+// materialization. The divergence and progress layers use it to
 // reason about expanded event positions while staying inside the streaming
 // memory contract.
 func ExpandedLen(elems []Element) int64 {

@@ -19,6 +19,11 @@ func loopElem(t *Table, count int, body ...Element) Element {
 	return Element{Loop: &Loop{Body: body, Count: count, ID: t.Intern(body)}}
 }
 
+// Has reports whether body is already interned, without interning it.
+func (t *Table) Has(body []Element) bool {
+	return t.has(appendSig(nil, body), body)
+}
+
 func TestOverlayReadsThroughToBase(t *testing.T) {
 	base := NewTable()
 	ab := syms("A", "B")

@@ -27,7 +27,7 @@ func TestElementsSnapshotUnchangedByLaterPushes(t *testing.T) {
 	if got := ExpandedLen(snap); got != 7 {
 		t.Fatalf("snapshot ExpandedLen = %d, want 7", got)
 	}
-	if got := strings.Join(s.Tokens(), " "); got != "init L0^10" {
+	if got := strings.Join(Tokens(s.Elements()), " "); got != "init L0^10" {
 		t.Fatalf("summarizer at %q, want %q", got, "init L0^10")
 	}
 	s.Finalize()

@@ -61,14 +61,6 @@ func (s *HeapSampler) sample() {
 	s.progress.SetHeapPeak(s.peak.Load())
 }
 
-// Peak returns the highest HeapAlloc observed so far, in bytes.
-func (s *HeapSampler) Peak() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.peak.Load()
-}
-
 // Stop halts sampling, takes one final synchronous sample, and returns the
 // peak HeapAlloc observed, in bytes. Stop must be called exactly once.
 func (s *HeapSampler) Stop() uint64 {

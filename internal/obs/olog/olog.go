@@ -22,13 +22,12 @@ import (
 	"time"
 )
 
-// Level orders log severities. The zero value is Debug so a zero Logger
+// Level orders log severities. The zero value is Info so a zero Logger
 // config logs everything it is given.
 type Level int32
 
 const (
-	Debug Level = iota
-	Info
+	Info Level = iota
 	Warn
 	Error
 )
@@ -36,8 +35,6 @@ const (
 // String renders the conventional lowercase name.
 func (l Level) String() string {
 	switch l {
-	case Debug:
-		return "debug"
 	case Info:
 		return "info"
 	case Warn:
@@ -47,12 +44,10 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel maps a flag value ("debug", "info", "warn", "error") to a
-// Level; unknown strings report ok=false.
+// ParseLevel maps a flag value ("info", "warn", "error") to a Level;
+// unknown strings report ok=false.
 func ParseLevel(s string) (Level, bool) {
 	switch s {
-	case "debug":
-		return Debug, true
 	case "info":
 		return Info, true
 	case "warn":
@@ -152,15 +147,7 @@ func (l *Logger) Enabled(level Level) bool {
 	return level >= l.min
 }
 
-// Debugf-style sugar is deliberately absent: fields, not format strings.
-
-// Debug logs at Debug level.
-func (l *Logger) Debug(msg string, fields ...Field) {
-	if l == nil || Debug < l.min {
-		return
-	}
-	l.emit(Debug, msg, fields)
-}
+// Printf-style sugar is deliberately absent: fields, not format strings.
 
 // Info logs at Info level.
 func (l *Logger) Info(msg string, fields ...Field) {

@@ -29,7 +29,7 @@ func lines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 
 func TestLineShape(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
+	l := New(&buf, Info)
 	l.Info("hello",
 		Str("s", "v"), Int("i", -3), Int64("i64", 1<<40),
 		Uint64("u", 18446744073709551615), Bool("yes", true), Bool("no", false),
@@ -72,7 +72,6 @@ func TestLineShape(t *testing.T) {
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, Warn)
-	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
@@ -86,16 +85,16 @@ func TestLevelFiltering(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{"debug": Debug, "info": Info, "warn": Warn, "error": Error} {
+	for s, want := range map[string]Level{"info": Info, "warn": Warn, "error": Error} {
 		got, ok := ParseLevel(s)
 		if !ok || got != want {
 			t.Errorf("ParseLevel(%q) = %v, %v", s, got, ok)
 		}
 	}
-	if _, ok := ParseLevel("verbose"); ok {
+	if _, ok := ParseLevel("debug"); ok {
 		t.Error("ParseLevel accepted unknown level")
 	}
-	if Debug.String() != "debug" || Error.String() != "error" || Level(99).String() != "error" {
+	if Info.String() != "info" || Error.String() != "error" || Level(99).String() != "error" {
 		t.Error("Level.String wrong")
 	}
 }
@@ -104,7 +103,7 @@ func TestParseLevel(t *testing.T) {
 // and derived loggers do not mutate the parent.
 func TestWithChaining(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
+	l := New(&buf, Info)
 	jl := l.With(Str("trace_id", "t1")).With(Str("job", "j1"))
 	jl.Info("x", Str("k", "v"))
 	l.Info("parent")
@@ -128,7 +127,7 @@ func TestWithChaining(t *testing.T) {
 
 func TestEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
+	l := New(&buf, Info)
 	nasty := "q\"uote b\\slash\nnl\ttab\rcr\x01ctl ünïcode"
 	l.Info(nasty, Str("k\"ey", nasty))
 	ls := lines(t, &buf)
@@ -142,7 +141,7 @@ func TestEscaping(t *testing.T) {
 
 func TestErrNil(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf, Debug).Info("x", Err(nil))
+	New(&buf, Info).Info("x", Err(nil))
 	if ls := lines(t, &buf); ls[0]["err"] != nil {
 		t.Fatalf("Err(nil) = %v, want null", ls[0]["err"])
 	}
@@ -152,7 +151,6 @@ func TestErrNil(t *testing.T) {
 // same state as nil.
 func TestNilOff(t *testing.T) {
 	var l *Logger
-	l.Debug("d")
 	l.Info("i", Str("k", "v"))
 	l.Warn("w")
 	l.Error("e", Err(errors.New("x")))
@@ -173,7 +171,7 @@ func TestConcurrentNoTearing(t *testing.T) {
 	// A plain bytes.Buffer is safe here: all writers share the logger's
 	// mutex, which is exactly the no-tearing guarantee under test.
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
+	l := New(&buf, Info)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		jl := l.With(Int("g", g))

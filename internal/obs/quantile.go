@@ -4,17 +4,9 @@ package obs
 // linear interpolation inside the log₂ bucket that contains the target
 // rank. Bucket b covers [2^(b-1), 2^b) (bucket 0 is exactly zero), so the
 // estimate is exact for zeros, within a factor of two otherwise — the same
-// fidelity the buckets themselves promise. Returns 0 when empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshot().Quantile(q)
-}
-
-// Quantile is the snapshot-side estimator; it lets manifest consumers (the
-// summary renderer, the Prometheus writer's operators) derive p50/p95/p99
-// from the serialized buckets without the live histogram.
+// fidelity the buckets themselves promise. Returns 0 when empty. Manifest
+// consumers (the summary renderer, the Prometheus writer's operators)
+// derive p50/p95/p99 from the serialized buckets with it.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0

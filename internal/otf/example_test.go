@@ -10,15 +10,14 @@ import (
 // concurrent.
 func ExampleHappensBefore() {
 	log := otf.NewLog(3)
-	send := log.Record(0, "MPI_Send")
-	recv := log.Record(1, "MPI_Recv", send)
-	other := log.Record(2, "compute")
+	send := log.RecordComm(0, "MPI_Send", 1)
+	recv := log.RecordComm(1, "MPI_Recv", 0, send)
+	other := log.RecordComm(2, "compute", -1)
 
-	s, _ := log.Event(send)
-	r, _ := log.Event(recv)
-	o, _ := log.Event(other)
+	evs := log.Events()
+	s, r, o := evs[send], evs[recv], evs[other]
 	fmt.Println(otf.HappensBefore(s, r))
-	fmt.Println(otf.Concurrent(s, o))
+	fmt.Println(!otf.HappensBefore(s, o) && !otf.HappensBefore(o, s))
 	// Output:
 	// true
 	// true

@@ -8,15 +8,12 @@
 // receive, and collective ticks the owning rank's clocks and joins them
 // with the clocks of the events it causally depends on. The resulting
 // event stream supports exact happens-before queries (vector-clock
-// comparison) and serializes to an OTF2-flavored text format.
+// comparison).
 package otf
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -54,17 +51,13 @@ func NewLog(n int) *Log {
 // Ranks returns the number of ranks.
 func (l *Log) Ranks() int { return l.n }
 
-// Record ticks rank's clocks, joins them with the clocks of the events
+// RecordComm ticks rank's clocks, joins them with the clocks of the events
 // named in joinWith (the causal predecessors: the matching send for a
 // receive, every contribution for a collective exit), appends the event,
-// and returns its ID for later joins.
-func (l *Log) Record(rank int, name string, joinWith ...int) int {
-	return l.RecordComm(rank, name, -1, joinWith...)
-}
-
-// RecordComm is Record for point-to-point communication events, tagging the
-// peer rank so communication matrices can be mined from the log (Roth et
-// al.'s automated pattern characterization, the paper's reference [41]).
+// and returns its ID for later joins. Peer tags the other endpoint of a
+// point-to-point event (-1 for any other), so communication matrices can be
+// mined from the log (Roth et al.'s automated pattern characterization, the
+// paper's reference [41]).
 func (l *Log) RecordComm(rank int, name string, peer int, joinWith ...int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -108,16 +101,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Event returns the event with the given ID.
-func (l *Log) Event(id int) (Event, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if id < 0 || id >= len(l.events) {
-		return Event{}, false
-	}
-	return l.events[id], true
-}
-
 // HappensBefore reports a → b in the causal partial order (vector-clock
 // dominance; strict).
 func HappensBefore(a, b Event) bool {
@@ -134,11 +117,6 @@ func HappensBefore(a, b Event) bool {
 		}
 	}
 	return strictly
-}
-
-// Concurrent reports that neither a → b nor b → a.
-func Concurrent(a, b Event) bool {
-	return !HappensBefore(a, b) && !HappensBefore(b, a) && a.ID != b.ID
 }
 
 // Validate checks the log's internal consistency: Lamport clocks strictly
@@ -211,100 +189,6 @@ func (l *Log) LeastProgressedRank() (int, float64) {
 		}
 	}
 	return best, bestScore
-}
-
-// ---- OTF2-flavored text serialization ------------------------------------
-
-// WriteOTF serializes the log:
-//
-//	OTF2 ranks=4 events=42
-//	E 0 rank=1 lamport=3 vec=1,3,0,0 MPI_Send
-func (l *Log) WriteOTF(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	events := l.Events()
-	if _, err := fmt.Fprintf(bw, "OTF2 ranks=%d events=%d\n", l.n, len(events)); err != nil {
-		return err
-	}
-	for _, e := range events {
-		parts := make([]string, len(e.Vector))
-		for i, v := range e.Vector {
-			parts[i] = strconv.FormatUint(v, 10)
-		}
-		if _, err := fmt.Fprintf(bw, "E %d rank=%d peer=%d lamport=%d vec=%s %s\n",
-			e.ID, e.Rank, e.Peer, e.Lamport, strings.Join(parts, ","), e.Name); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadOTF parses the text format back into a read-only Log.
-func ReadOTF(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("otf: empty input")
-	}
-	var n, count int
-	if _, err := fmt.Sscanf(sc.Text(), "OTF2 ranks=%d events=%d", &n, &count); err != nil {
-		return nil, fmt.Errorf("otf: bad header %q: %w", sc.Text(), err)
-	}
-	l := NewLog(n)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 7 || fields[0] != "E" {
-			return nil, fmt.Errorf("otf: bad event line %q", line)
-		}
-		id, err1 := strconv.Atoi(fields[1])
-		rank, err2 := parseKV(fields[2], "rank")
-		peer, err4 := parseKV(fields[3], "peer")
-		lam, err3 := parseKV(fields[4], "lamport")
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return nil, fmt.Errorf("otf: bad event line %q", line)
-		}
-		vecStr, ok := strings.CutPrefix(fields[5], "vec=")
-		if !ok {
-			return nil, fmt.Errorf("otf: bad vector in %q", line)
-		}
-		comps := strings.Split(vecStr, ",")
-		if len(comps) != n {
-			return nil, fmt.Errorf("otf: vector arity %d, want %d", len(comps), n)
-		}
-		vec := make([]uint64, n)
-		for i, c := range comps {
-			v, err := strconv.ParseUint(c, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("otf: bad vector component %q", c)
-			}
-			vec[i] = v
-		}
-		if rank < 0 || rank >= n {
-			return nil, fmt.Errorf("otf: rank %d out of range", rank)
-		}
-		l.events = append(l.events, Event{
-			ID: id, Rank: rank, Peer: peer, Name: fields[6],
-			Lamport: uint64(lam), Vector: vec,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(l.events) != count {
-		return nil, fmt.Errorf("otf: header says %d events, read %d", count, len(l.events))
-	}
-	return l, nil
-}
-
-func parseKV(s, key string) (int, error) {
-	v, ok := strings.CutPrefix(s, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("missing %s=", key)
-	}
-	return strconv.Atoi(v)
 }
 
 // Timeline renders the events grouped by rank in Lamport order — a

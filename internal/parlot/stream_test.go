@@ -157,8 +157,8 @@ func TestSymbolReaderIndependentReplay(t *testing.T) {
 		return out
 	}
 	first, second := read(), read()
-	if len(first) != st.Events() || len(first) != len(second) {
-		t.Fatalf("replay lengths: %d, %d, want %d", len(first), len(second), st.Events())
+	if len(first) != st.events || len(first) != len(second) {
+		t.Fatalf("replay lengths: %d, %d, want %d", len(first), len(second), st.events)
 	}
 	for i := range first {
 		if first[i] != second[i] {

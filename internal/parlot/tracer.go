@@ -48,9 +48,6 @@ func NewTracerWith(level Level, reg *trace.Registry) *Tracer {
 	return &Tracer{Level: level, reg: reg, threads: make(map[trace.ThreadID]*ThreadTracer)}
 }
 
-// Registry exposes the shared name registry.
-func (t *Tracer) Registry() *trace.Registry { return t.reg }
-
 // Thread returns (creating on first use) the per-thread tracer for id.
 // ThreadTracers are not shared between goroutines; each application thread
 // uses its own, so tracing itself is contention-free — the property that
@@ -110,13 +107,6 @@ type ThreadTracer struct {
 	trace  *trace.Trace
 	buf    *bytes.Buffer
 	enc    *Encoder
-	depth  int
-}
-
-// ID returns the thread's identity.
-func (th *ThreadTracer) ID() trace.ThreadID {
-	//lint:allow lockdiscipline trace is assigned once at construction and ID never changes
-	return th.trace.ID
 }
 
 func (th *ThreadTracer) record(name string, kind trace.EventKind) {
@@ -130,11 +120,6 @@ func (th *ThreadTracer) record(name string, kind trace.EventKind) {
 	}
 	th.trace.Append(id, kind)
 	th.enc.Encode(id<<1 | uint32(kind))
-	if kind == trace.Enter {
-		th.depth++
-	} else if th.depth > 0 {
-		th.depth--
-	}
 	th.mu.Unlock()
 }
 
@@ -166,13 +151,6 @@ func (th *ThreadTracer) MarkTruncated() {
 	defer th.mu.Unlock()
 	th.trace.Truncated = true
 	_ = th.enc.Flush()
-}
-
-// Depth reports the current call-stack depth according to recorded events.
-func (th *ThreadTracer) Depth() int {
-	th.mu.Lock()
-	defer th.mu.Unlock()
-	return th.depth
 }
 
 // Compressed returns a copy of the compressed byte stream so far.

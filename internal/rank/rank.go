@@ -207,18 +207,3 @@ func (t *Table) Render() string {
 	fmt.Fprintf(&b, "(linkage: %s)\n", t.Linkage)
 	return b.String()
 }
-
-// RenderMarkdown prints the table as GitHub-flavored markdown, for pasting
-// measured rows into EXPERIMENTS.md-style documents.
-func (t *Table) RenderMarkdown() string {
-	var b strings.Builder
-	b.WriteString("| Filter | Attributes | B-score | Top Processes | Top Threads |\n")
-	b.WriteString("|---|---|---|---|---|\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s | %s | %.3f | %s | %s |\n",
-			r.Spec, r.Attr, r.BScore,
-			strings.Join(r.TopProcesses, ", "),
-			strings.Join(r.TopThreads, ", "))
-	}
-	return b.String()
-}

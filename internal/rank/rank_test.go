@@ -190,24 +190,3 @@ func TestParallelSweepPropagatesErrors(t *testing.T) {
 		t.Error("expected parse error")
 	}
 }
-
-func TestRenderMarkdown(t *testing.T) {
-	normal, faulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
-		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
-	}))
-	tbl, err := SweepContext(nil, normal, faulty, Request{
-		Specs:   []string{"11.mpiall.0K10"},
-		Attrs:   []attr.Config{{Kind: attr.Single, Freq: attr.Actual}},
-		Linkage: cluster.Ward,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	md := tbl.RenderMarkdown()
-	if !strings.Contains(md, "| Filter |") || !strings.Contains(md, "| 11.mpiall.0K10 | sing.actual |") {
-		t.Errorf("markdown:\n%s", md)
-	}
-	if strings.Count(md, "\n") != 3 { // header + separator + 1 row
-		t.Errorf("rows:\n%s", md)
-	}
-}

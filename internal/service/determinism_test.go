@@ -138,7 +138,7 @@ func TestServiceDeterminismTelemetryNoLeak(t *testing.T) {
 
 	fetch := func() (manifest []byte, traceID, logs string) {
 		var lb lockedBuf
-		svc := newTestService(t, Config{Obs: newObsForTest(), Log: olog.New(&lb, olog.Debug)})
+		svc := newTestService(t, Config{Obs: newObsForTest(), Log: olog.New(&lb, olog.Info)})
 		ts := httptest.NewServer(svc.Handler())
 		defer ts.Close()
 		resp, jr := postDiff(t, ts, req)

@@ -112,7 +112,7 @@ func TestHTTPRetiredStreamingFieldAccepted(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status = %d, want 202", resp.StatusCode)
 	}
-	var jr jobResponse
+	var jr JobView
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,6 @@ import (
 	"difftrace/internal/obs/telemetry"
 )
 
-// jobResponse is the wire shape of a job: the JobView plus, for done
-// jobs, the stored artifacts — the report text and the scrubbed obs
-// manifest that is the job's telemetry record.
-type jobResponse struct {
-	JobView
-	Report   string          `json:"report,omitempty"`
-	Manifest json.RawMessage `json:"manifest,omitempty"`
-}
-
 // errorResponse is the wire shape of every non-2xx body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -80,13 +71,13 @@ func (s *Service) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	resp := jobResponse{JobView: view}
+	// Only a cache hit is done at admission, and its view already carries
+	// the artifacts its hit check verified.
 	status := http.StatusAccepted
 	if view.State == StateDone {
 		status = http.StatusOK
-		s.attachArtifacts(&resp)
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, status, view)
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -105,18 +96,17 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
-	resp := jobResponse{JobView: view}
 	if view.State == StateDone {
-		s.attachArtifacts(&resp)
+		s.attachArtifacts(&view)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, view)
 }
 
 // attachArtifacts loads the stored report/manifest into the response. A
 // done job whose artifacts fail verification (quarantined between runs)
 // degrades the view: state reverts to failed with an explanatory error
 // rather than serving corrupt bytes.
-func (s *Service) attachArtifacts(resp *jobResponse) {
+func (s *Service) attachArtifacts(resp *JobView) {
 	report, manifest, ok := s.Artifacts(resp.ID)
 	if !ok {
 		resp.State = StateFailed

@@ -14,7 +14,7 @@ import (
 	"difftrace/internal/obs/telemetry"
 )
 
-func postDiff(t *testing.T, ts *httptest.Server, req DiffRequest) (*http.Response, jobResponse) {
+func postDiff(t *testing.T, ts *httptest.Server, req DiffRequest) (*http.Response, JobView) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -25,7 +25,7 @@ func postDiff(t *testing.T, ts *httptest.Server, req DiffRequest) (*http.Respons
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr jobResponse
+	var jr JobView
 	if resp.StatusCode < 300 {
 		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 			t.Fatal(err)
@@ -34,14 +34,14 @@ func postDiff(t *testing.T, ts *httptest.Server, req DiffRequest) (*http.Respons
 	return resp, jr
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, jobResponse) {
+func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, JobView) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr jobResponse
+	var jr JobView
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, jobRe
 	return resp, jr
 }
 
-func waitJobHTTP(t *testing.T, ts *httptest.Server, id string) jobResponse {
+func waitJobHTTP(t *testing.T, ts *httptest.Server, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -62,7 +62,7 @@ func waitJobHTTP(t *testing.T, ts *httptest.Server, id string) jobResponse {
 			return jr
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never settled over HTTP: %+v", id, jr.JobView)
+			t.Fatalf("job %s never settled over HTTP: %+v", id, jr)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -79,7 +79,7 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 		t.Fatalf("POST status = %d, want 202", resp.StatusCode)
 	}
 	if jr.ID == "" || jr.Cached {
-		t.Fatalf("bad accepted view: %+v", jr.JobView)
+		t.Fatalf("bad accepted view: %+v", jr)
 	}
 	done := waitJobHTTP(t, ts, jr.ID)
 	if done.State != StateDone {

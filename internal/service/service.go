@@ -234,10 +234,13 @@ type job struct {
 	degraded    int    // degraded-stage count from the last successful run
 }
 
-// JobView is the immutable snapshot handed to callers (and serialized by
-// the HTTP layer). Progress is attached only while the job runs — it is
-// live telemetry (events decoded, events/sec, current stage, peak heap),
-// not part of the deterministic result.
+// JobView is the immutable snapshot handed to callers and the wire shape
+// of a job. Progress is attached only while the job runs — it is live
+// telemetry (events decoded, events/sec, current stage, peak heap), not
+// part of the deterministic result. Report and Manifest carry a done job's
+// stored artifacts — the report text and the scrubbed obs manifest that is
+// the job's telemetry record — where they were read: by a cache-hit Submit
+// and by the HTTP answer for a done job.
 type JobView struct {
 	ID       string                `json:"id"`
 	TraceID  string                `json:"trace_id,omitempty"`
@@ -246,6 +249,8 @@ type JobView struct {
 	Cached   bool                  `json:"cached"`
 	Error    string                `json:"error,omitempty"`
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
+	Report   string                `json:"report,omitempty"`
+	Manifest json.RawMessage       `json:"manifest,omitempty"`
 }
 
 func (j *job) view() JobView {
@@ -342,13 +347,6 @@ func New(ctx context.Context, cfg Config) (*Service, *resilience.IngestReport, e
 	return s, recovery, nil
 }
 
-// Store exposes the underlying artifact store (read paths for the HTTP
-// layer and tests).
-func (s *Service) Store() *store.Store { return s.store }
-
-// Flight exposes the flight recorder (GET /debug/flight and tests).
-func (s *Service) Flight() *telemetry.FlightRecorder { return s.flight }
-
 // QueueDepth reports how many jobs are queued but not yet claimed.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
@@ -437,8 +435,11 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 	tid := obs.NewTraceID()
 
 	// Cache hit: both artifacts already stored and intact — the job is
-	// done before it starts, no ingestion/NLR/FCA work at all.
-	if s.store.Has(id, KindReport) && s.store.Has(id, KindManifest) {
+	// done before it starts, no ingestion/NLR/FCA work at all. This is the
+	// one verified read of each artifact: a done view carries the bytes,
+	// and a corrupt artifact is quarantined by the read and recomputed
+	// below.
+	if report, manifest, ok := s.Artifacts(id); ok {
 		s.cfg.Obs.Counter("service.cache_hits").Add(1)
 		j := s.internJob(id, req, nil, nil, nh, fh)
 		j.mu.Lock()
@@ -461,18 +462,21 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 				TraceID: string(tid), JobID: id, Outcome: string(StateDone), Cached: true,
 			})
 		}
-		return j.view(), nil
+		v := j.view()
+		if v.State == StateDone {
+			v.Report, v.Manifest = string(report), manifest
+		}
+		return v, nil
 	}
 
 	s.mu.Lock()
 	if j, exists := s.jobs[id]; exists {
-		st := j.view().State
-		if st == StateQueued || st == StateRunning {
+		if v := j.view(); v.State == StateQueued || v.State == StateRunning {
 			// Same pair already on its way: share that run.
 			s.mu.Unlock()
 			s.cfg.Obs.Counter("service.dedup_joined").Add(1)
 			j.log.Info("submission joined in-flight job")
-			return j.view(), nil
+			return v, nil
 		}
 		// done (stale artifacts?) or failed: fall through and requeue.
 	}

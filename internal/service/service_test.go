@@ -389,7 +389,7 @@ func TestCorruptArtifactQuarantinedNotServed(t *testing.T) {
 	if _, _, ok := svc.Artifacts(v.ID); ok {
 		t.Fatal("corrupt artifact was served")
 	}
-	q, err := svc.Store().Quarantined()
+	q, err := svc.store.Quarantined()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,6 +416,46 @@ func TestCorruptArtifactQuarantinedNotServed(t *testing.T) {
 	}
 	if !bytes.Equal(report1, report2) {
 		t.Fatal("recomputed report differs from the original")
+	}
+
+	// A cache hit answers from the bytes its verified read returned.
+	hit, err := svc.Submit(DiffRequest{Normal: normal, Faulty: faulty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Report != string(report1) {
+		t.Fatalf("cache hit: cached=%v, serves the stored report=%v", hit.Cached, hit.Report == string(report1))
+	}
+
+	// Corrupt the report again and submit directly, with no Artifacts call
+	// between: the submission's own hit check quarantines the file and the
+	// same submission recomputes.
+	raw, err = os.ReadFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(artPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := svc.Submit(DiffRequest{Normal: normal, Faulty: faulty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3.Cached || v3.Report != "" {
+		t.Fatal("submission over a corrupt report claims cached")
+	}
+	quarantined, err := os.ReadFile(filepath.Join(storeDir, "quarantine", v.ID+"-report.art"))
+	if err != nil || !bytes.Equal(quarantined, raw) {
+		t.Fatalf("corrupt report not quarantined by the submission (err %v)", err)
+	}
+	v3 = waitState(t, svc, v3.ID)
+	if v3.State != StateDone {
+		t.Fatalf("recompute failed: %s", v3.Error)
+	}
+	report3, _, ok := svc.Artifacts(v3.ID)
+	if !ok || !bytes.Equal(report1, report3) {
+		t.Fatal("report recomputed after a corrupt hit differs from the original")
 	}
 }
 

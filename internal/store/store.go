@@ -117,9 +117,6 @@ func Open(dir string) (*Store, *resilience.IngestReport, error) {
 	return s, rep, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) objectsDir() string    { return filepath.Join(s.root, "objects") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantine") }
 func (s *Store) tmpDir() string        { return filepath.Join(s.root, "tmp") }
@@ -255,17 +252,6 @@ func (s *Store) Get(key, kind string, rep *resilience.IngestReport) (payload []b
 		return nil, false, nil
 	}
 	return nil, false, fmt.Errorf("store: get %s-%s: %w", key, kind, verr)
-}
-
-// Has reports whether a valid artifact exists under (key, kind) without
-// returning its payload (the artifact is still fully verified; a corrupt
-// one reads as absent but is left in place for Get to quarantine).
-func (s *Store) Has(key, kind string) bool {
-	if checkName(key, kind) != nil {
-		return false
-	}
-	_, err := readArtifact(filepath.Join(s.objectsDir(), fileName(key, kind)))
-	return err == nil
 }
 
 // Quarantined lists the file names currently in quarantine/, sorted.

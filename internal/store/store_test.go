@@ -56,12 +56,6 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: %q", got)
 	}
-	if !s.Has(key, "report") {
-		t.Fatal("Has = false after Put")
-	}
-	if s.Has(key, "manifest") {
-		t.Fatal("Has = true for never-written kind")
-	}
 	if _, ok, _ := s.Get(key, "manifest", nil); ok {
 		t.Fatal("Get hit on never-written kind")
 	}
@@ -258,9 +252,6 @@ func TestNameValidation(t *testing.T) {
 		}
 		if _, _, err := s.Get(tc.key, tc.kind, nil); err == nil {
 			t.Errorf("Get(%q, %q) accepted", tc.key, tc.kind)
-		}
-		if s.Has(tc.key, tc.kind) {
-			t.Errorf("Has(%q, %q) = true", tc.key, tc.kind)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func TestLenientGarbageHeaderQuarantine(t *testing.T) {
 	if len(s.Traces) != 2 {
 		t.Fatalf("traces = %d, want 2 (ghost quarantined)", len(s.Traces))
 	}
-	if _, ok := s.Registry.Lookup("ghost"); ok {
+	if _, ok := s.Registry.ids["ghost"]; ok {
 		t.Error("quarantined events must not intern names")
 	}
 	rec := rep.Record("?")

@@ -106,14 +106,6 @@ func (r *Registry) Name(id uint32) string {
 	return fmt.Sprintf("?%d", id)
 }
 
-// Lookup returns the ID for name without interning it.
-func (r *Registry) Lookup(name string) (uint32, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.ids[name]
-	return id, ok
-}
-
 // Len reports how many distinct names have been interned.
 func (r *Registry) Len() int {
 	r.mu.RLock()

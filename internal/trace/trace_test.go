@@ -26,11 +26,11 @@ func TestRegistryInterning(t *testing.T) {
 	if r.Len() != 2 {
 		t.Errorf("Len = %d, want 2", r.Len())
 	}
-	if id, ok := r.Lookup("MPI_Send"); !ok || id != b {
-		t.Errorf("Lookup(MPI_Send) = %d,%v", id, ok)
+	if id, ok := r.ids["MPI_Send"]; !ok || id != b {
+		t.Errorf("ids[MPI_Send] = %d,%v", id, ok)
 	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Error("Lookup of absent name reported ok")
+	if _, ok := r.ids["nope"]; ok {
+		t.Error("absent name interned")
 	}
 	if got := r.Name(99); got != "?99" {
 		t.Errorf("Name(99) = %q, want ?99", got)
