@@ -11,7 +11,6 @@ package difftrace_test
 import (
 	"bytes"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -29,7 +28,6 @@ import (
 	"difftrace/internal/jaccard"
 	"difftrace/internal/mpi"
 	"difftrace/internal/nlr"
-	"difftrace/internal/obs"
 	"difftrace/internal/otf"
 	"difftrace/internal/parlot"
 	"difftrace/internal/progress"
@@ -245,68 +243,6 @@ func BenchmarkFig4_JSM(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkParallel_DiffRun sweeps the intra-run worker budget over the
-// whole pipeline on the LULESH-scale synthetic pair — the headline
-// measurement for the bounded worker pool (paper future-work item 1).
-// Results are byte-identical across the sweep; only the wall clock moves.
-func BenchmarkParallel_DiffRun(b *testing.B) {
-	pair := synthSets(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			cfg := core.Config{
-				Filter:  filter.Everything(),
-				Attr:    attr.Config{Kind: attr.Single, Freq: attr.Actual},
-				Linkage: cluster.Ward,
-				Workers: w,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.DiffRun(pair.normal, pair.faulty, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_DiffRunStages runs the same pipeline with observability
-// enabled (Workers:8) and reports the per-stage wall-time breakdown as
-// custom metrics — both the instrumented-path cost (compare its ns/op
-// against BenchmarkParallel_DiffRun/workers=8) and where the time goes.
-func BenchmarkParallel_DiffRunStages(b *testing.B) {
-	pair := synthSets(b)
-	b.Run(benchName("workers", 8), func(b *testing.B) {
-		run := obs.NewRun("bench")
-		cfg := core.Config{
-			Filter:  filter.Everything(),
-			Attr:    attr.Config{Kind: attr.Single, Freq: attr.Actual},
-			Linkage: cluster.Ward,
-			Workers: 8,
-			Obs:     run,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.DiffRun(pair.normal, pair.faulty, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		// Report the top-level stage spans as per-op metrics alongside the
-		// standard ns/op. Child spans ("summarize/<level>/<side>") overlap
-		// their parent under concurrency, so only the roots are summed.
-		groups := map[string]int64{}
-		for _, st := range run.Manifest().Stages {
-			if !strings.Contains(st.Path, "/") {
-				groups[st.Path] += st.WallNs
-			}
-		}
-		for _, top := range []string{"summarize", "analyze"} {
-			b.ReportMetric(float64(groups[top])/float64(b.N), top+"-ns/op")
-		}
-	})
 }
 
 // BenchmarkFig5_DiffNLR times the full §II-G swapBug comparison (pipeline +

@@ -21,7 +21,7 @@
 // SIGTERM/SIGINT trigger graceful shutdown: admission stops (503), jobs
 // in flight drain under -drain-timeout, stragglers are cancelled, the
 // flight recorder dumps to the store, and the queued backlog persists to
-// <store>/queue.json for the next boot.
+// <store>/queue.sidecar for the next boot.
 package main
 
 import (
@@ -118,7 +118,7 @@ func run(addr, storeDir string, workers, concurrency, queueDepth, maxAttempts in
 		logger.Error("drain failed", olog.Err(stopErr))
 	}
 	if persisted > 0 {
-		logger.Info("unfinished jobs persisted to queue.json", olog.Int("jobs", persisted))
+		logger.Info("unfinished jobs persisted to queue.sidecar", olog.Int("jobs", persisted))
 	}
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()

@@ -227,11 +227,11 @@ func TestDaemonSigtermMidJobRecoversOnRestart(t *testing.T) {
 	}
 	a.sigterm(t)
 	logOut := a.out.String()
-	if !strings.Contains(logOut, `"msg":"unfinished jobs persisted to queue.json"`) || !strings.Contains(logOut, `"jobs":1`) {
+	if !strings.Contains(logOut, `"msg":"unfinished jobs persisted to queue.sidecar"`) || !strings.Contains(logOut, `"jobs":1`) {
 		t.Fatalf("daemon did not persist the interrupted job; stderr:\n%s", logOut)
 	}
-	if _, err := os.Stat(filepath.Join(storeDir, "queue.json")); err != nil {
-		t.Fatalf("queue.json missing after SIGTERM: %v", err)
+	if _, err := os.Stat(filepath.Join(storeDir, "queue.sidecar")); err != nil {
+		t.Fatalf("queue.sidecar missing after SIGTERM: %v", err)
 	}
 
 	// Boot B on the same store, no hold: the persisted job restores and
@@ -244,8 +244,8 @@ func TestDaemonSigtermMidJobRecoversOnRestart(t *testing.T) {
 	if !strings.Contains(done.Report, "DiffTrace report") {
 		t.Fatalf("recovered job has no report:\n%.400s", done.Report)
 	}
-	if _, err := os.Stat(filepath.Join(storeDir, "queue.json")); !os.IsNotExist(err) {
-		t.Fatalf("queue.json not consumed after recovery: %v", err)
+	if _, err := os.Stat(filepath.Join(storeDir, "queue.sidecar")); !os.IsNotExist(err) {
+		t.Fatalf("queue.sidecar not consumed after recovery: %v", err)
 	}
 
 	// Resubmission: cache hit (200, cached, no recompute), identical bytes.

@@ -41,11 +41,10 @@ import (
 
 // Config parameterizes one ILCS-TSP run.
 type Config struct {
-	Procs      int   // MPI processes (the paper uses 8)
-	Workers    int   // OpenMP worker threads per process (the paper uses 4)
-	Cities     int   // TSP instance size
-	Seed       int64 // instance + search seed
-	EagerLimit int   // MPI eager limit in elements
+	Procs   int   // MPI processes (the paper uses 8)
+	Workers int   // OpenMP worker threads per process (the paper uses 4)
+	Cities  int   // TSP instance size
+	Seed    int64 // instance + search seed
 	// StableRounds terminates the search after this many champion rounds
 	// without change; MaxRounds caps the loop regardless (the wrong-op bug
 	// keeps the champion churning, so the cap bounds the run).
@@ -61,6 +60,9 @@ type Config struct {
 	Clock         *otf.Log // optional logical-clock recorder (otf.NewLog(Procs))
 }
 
+// eagerLimit is the MPI eager limit in elements.
+const eagerLimit = 1 << 16
+
 func (c *Config) defaults() {
 	if c.Procs == 0 {
 		c.Procs = 8
@@ -70,9 +72,6 @@ func (c *Config) defaults() {
 	}
 	if c.Cities == 0 {
 		c.Cities = 16
-	}
-	if c.EagerLimit == 0 {
-		c.EagerLimit = 1 << 16
 	}
 	if c.StableRounds == 0 {
 		c.StableRounds = 3
@@ -140,7 +139,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Rounds: make([]int, cfg.Procs)}
 	var mu sync.Mutex
-	world := mpi.NewWorld(cfg.Procs, cfg.EagerLimit)
+	world := mpi.NewWorld(cfg.Procs, eagerLimit)
 	if cfg.Clock != nil {
 		world.AttachClock(cfg.Clock)
 	}

@@ -28,13 +28,16 @@ import (
 
 // Config parameterizes one run.
 type Config struct {
-	Procs      int // number of MPI ranks (4 in Table II, 16 in §II-G)
-	EagerLimit int // elements; payloads stay below it (swapBug must not hang)
-	Seed       int64
-	Plan       *faults.Plan
-	Tracer     *parlot.Tracer
-	Clock      *otf.Log // optional logical-clock recorder (otf.NewLog(Procs))
+	Procs  int // number of MPI ranks (4 in Table II, 16 in §II-G)
+	Seed   int64
+	Plan   *faults.Plan
+	Tracer *parlot.Tracer
+	Clock  *otf.Log // optional logical-clock recorder (otf.NewLog(Procs))
 }
+
+// eagerLimit is the MPI eager limit in elements; payloads stay below it
+// (swapBug must not hang).
+const eagerLimit = 16
 
 // Result reports the run outcome.
 type Result struct {
@@ -52,9 +55,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Procs < 2 {
 		return nil, fmt.Errorf("oddeven: need at least 2 ranks, got %d", cfg.Procs)
 	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 16
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	initial := make([]float64, cfg.Procs)
 	for i := range initial {
@@ -63,7 +63,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Values: make([]float64, cfg.Procs)}
 	var mu sync.Mutex
-	world := mpi.NewWorld(cfg.Procs, cfg.EagerLimit)
+	world := mpi.NewWorld(cfg.Procs, eagerLimit)
 	if cfg.Clock != nil {
 		world.AttachClock(cfg.Clock)
 	}

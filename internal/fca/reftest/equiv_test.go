@@ -223,7 +223,7 @@ func TestEquivLattice(t *testing.T) {
 // FuzzEquivAttrSet interprets the fuzz input as an op script over a 128-name
 // universe — add to a, add to b, intersect, union — and cross-checks every
 // intermediate against the reference. Runs as a deterministic seed-replay
-// test in `make fuzz-seeds` via the checked-in corpus.
+// test in `go test` via the checked-in corpus.
 func FuzzEquivAttrSet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 130, 131, 4, 4, 4})

@@ -1,10 +1,9 @@
 // Package reftest preserves the original map-based FCA representation as a
 // reference implementation: Set is the old map[string]struct{} AttrSet
 // verbatim, and Lattice/Context/NextClosure are the old map-keyed engine.
-// It exists for two jobs only — the differential equivalence suite asserts
-// the bitset fca package agrees with it operation by operation, and the
-// BenchmarkFCA_* "impl=mapref" variants measure the speedup against it. It
-// is deliberately frozen: do not optimize or extend it.
+// It exists for one job only: the differential equivalence suite asserts
+// the bitset fca package agrees with it operation by operation. It is
+// deliberately frozen: do not optimize or extend it.
 package reftest
 
 import (

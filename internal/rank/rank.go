@@ -34,9 +34,6 @@ type Request struct {
 	Linkage cluster.Method
 	// TopK bounds the suspect lists per row (the paper prints up to 6).
 	TopK int
-	// Eps is the minimum similarity-row change for an object to count as
-	// suspicious.
-	Eps float64
 	// Workers is the worker budget of each combination's DiffRun (paper
 	// future-work item 1: "optimizing [components] to exploit multi-core
 	// CPUs, reducing the overall analysis time"). Combinations run one
@@ -59,10 +56,11 @@ func (r *Request) defaults() {
 	if r.TopK == 0 {
 		r.TopK = 6
 	}
-	if r.Eps == 0 {
-		r.Eps = 1e-9
-	}
 }
+
+// suspectEps is the minimum similarity-row change for an object to count
+// as suspicious.
+const suspectEps = 1e-9
 
 // Row is one ranking-table entry.
 type Row struct {
@@ -125,8 +123,8 @@ func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Reque
 			Spec:         c.spec,
 			Attr:         c.attr,
 			BScore:       rep.Threads.BScore,
-			TopProcesses: rep.Processes.TopSuspects(req.TopK, req.Eps),
-			TopThreads:   rep.Threads.TopSuspects(req.TopK, req.Eps),
+			TopProcesses: rep.Processes.TopSuspects(req.TopK, suspectEps),
+			TopThreads:   rep.Threads.TopSuspects(req.TopK, suspectEps),
 			Report:       rep,
 		}
 	}

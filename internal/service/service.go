@@ -24,7 +24,8 @@
 //     keep going.
 //   - Shutdown is graceful. Stop() halts admission, lets in-flight jobs
 //     drain under the caller's deadline, cancels stragglers past it, and
-//     persists still-queued work to queue.json so a restart resumes it.
+//     persists still-queued work as a store sidecar so a restart resumes
+//     it.
 //
 // Every job run carries its own obs.Run; the scrubbed manifest is stored
 // next to the report and is byte-identical across worker counts — the
@@ -39,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,9 +64,13 @@ const (
 	DefaultQueueDepth  = 64
 	DefaultConcurrency = 2
 	DefaultMaxAttempts = 3
-	DefaultRetryBase   = 100 * time.Millisecond
-	DefaultRetryMax    = 5 * time.Second
 	DefaultJobTimeout  = 5 * time.Minute
+)
+
+// The retry backoff doubles from retryBase per attempt, capped at retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 5 * time.Second
 )
 
 // Artifact kinds stored per pair key.
@@ -121,7 +125,7 @@ type Hooks struct {
 
 // Config sizes one Service.
 type Config struct {
-	// StoreDir roots the artifact store (and queue.json). Required.
+	// StoreDir roots the artifact store (and its sidecars). Required.
 	StoreDir string
 	// Workers is the per-job pipeline worker budget (0: GOMAXPROCS).
 	Workers int
@@ -131,8 +135,6 @@ type Config struct {
 	QueueDepth int
 	// MaxAttempts bounds tries per job including the first (0: default).
 	MaxAttempts int
-	// RetryBase/RetryMax shape the exponential backoff (0: defaults).
-	RetryBase, RetryMax time.Duration
 	// JobTimeout is the per-attempt deadline (0: default). Requests may
 	// shorten it per job, never lengthen it.
 	JobTimeout time.Duration
@@ -158,12 +160,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = DefaultRetryMax
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = DefaultJobTimeout
@@ -290,11 +286,12 @@ type Service struct {
 	jobs map[string]*job
 }
 
-// flightSidecar names the store sidecar the drain-time flight dump uses.
-const flightSidecar = "flight"
-
-// queueFile is where Stop persists unfinished work.
-func queueFile(storeDir string) string { return filepath.Join(storeDir, "queue.json") }
+// Store sidecars a drain leaves for the next boot: the flight dump and
+// the backlog of unfinished work.
+const (
+	flightSidecar = "flight"
+	queueSidecar  = "queue"
+)
 
 // New opens the store (running its recovery scan), restores any queue
 // persisted by a previous shutdown, and starts the worker loops. ctx
@@ -658,9 +655,9 @@ func (s *Service) settle(j *job, state JobState, errMsg string) {
 // before the next attempt. Returns false if shutdown or ctx cancellation
 // interrupted the wait.
 func (s *Service) backoff(ctx context.Context, jobID string, attempt int) bool {
-	d := s.cfg.RetryBase << uint(attempt-1)
-	if d > s.cfg.RetryMax || d <= 0 {
-		d = s.cfg.RetryMax
+	d := retryBase << uint(attempt-1)
+	if d > retryMax || d <= 0 {
+		d = retryMax
 	}
 	// Jitter derives from the job ID and attempt — not from a PRNG or the
 	// clock — so a retry schedule is reproducible for a given job yet
@@ -841,7 +838,7 @@ func writeIngestSection(w *bytes.Buffer, reps ...*resilience.IngestReport) {
 	}
 }
 
-// persistedQueue is queue.json's schema.
+// persistedQueue is the queue sidecar's schema.
 type persistedQueue struct {
 	Version int           `json:"version"`
 	Jobs    []DiffRequest `json:"jobs"`
@@ -850,8 +847,8 @@ type persistedQueue struct {
 // Stop shuts the service down gracefully: admission stops (Submit returns
 // ErrDraining), workers finish their current jobs under ctx's deadline,
 // stragglers past the deadline are cancelled, and every job still queued
-// (or cancelled mid-run by the deadline) is persisted to queue.json for
-// the next boot. Returns the number of jobs persisted.
+// (or cancelled mid-run by the deadline) is persisted to the queue sidecar
+// for the next boot. Returns the number of jobs persisted.
 func (s *Service) Stop(ctx context.Context) (int, error) {
 	s.draining.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
@@ -916,7 +913,7 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 		return pending[i].Normal+pending[i].Faulty < pending[k].Normal+pending[k].Faulty
 	})
 	if len(pending) == 0 {
-		os.Remove(queueFile(s.cfg.StoreDir))
+		// Boot consumed any earlier backlog, so there is none to remove.
 		s.cfg.Log.Info("drain complete", olog.Int("persisted", 0))
 		return 0, nil
 	}
@@ -924,39 +921,34 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("service: persist queue: %w", err)
 	}
-	tmp := queueFile(s.cfg.StoreDir) + ".tmp"
-	if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
-		return 0, fmt.Errorf("service: persist queue: %w", err)
-	}
-	if err := os.Rename(tmp, queueFile(s.cfg.StoreDir)); err != nil {
+	if err := s.store.PutSidecar(queueSidecar, blob); err != nil {
 		return 0, fmt.Errorf("service: persist queue: %w", err)
 	}
 	s.cfg.Log.Info("drain complete", olog.Int("persisted", len(pending)))
 	return len(pending), nil
 }
 
-// restoreQueue resubmits work persisted by a previous shutdown. Requests
-// whose inputs vanished in between fail admission individually; the rest
-// still restore.
+// restoreQueue resubmits the backlog a previous drain persisted and
+// deletes it, so no later boot restores it again. A torn or corrupt
+// backlog is quarantined by the store and reads as absent: boot continues
+// with an empty queue. Requests whose inputs vanished in between fail
+// admission individually; the rest still restore.
 func (s *Service) restoreQueue() error {
-	path := queueFile(s.cfg.StoreDir)
-	blob, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	blob, ok, err := s.store.GetSidecar(queueSidecar)
+	if err != nil {
+		return fmt.Errorf("service: restore queue: %w", err)
+	}
+	if !ok {
 		return nil
 	}
-	if err != nil {
+	if err := s.store.DeleteSidecar(queueSidecar); err != nil {
 		return fmt.Errorf("service: restore queue: %w", err)
 	}
 	var pq persistedQueue
 	if err := json.Unmarshal(blob, &pq); err != nil {
-		// A torn queue.json must not brick the boot: quarantine it
-		// in-place by renaming, and start empty.
-		os.Rename(path, path+".corrupt")
-		s.cfg.Obs.Counter("service.queue_restore_corrupt").Add(1)
-		s.cfg.Log.Warn("queue restore: corrupt queue.json quarantined", olog.Str("path", path+".corrupt"))
+		s.cfg.Log.Warn("queue restore: unreadable backlog dropped", olog.Err(err))
 		return nil
 	}
-	os.Remove(path)
 	restored := 0
 	for _, req := range pq.Jobs {
 		if _, err := s.Submit(req); err != nil && !errors.Is(err, ErrQueueFull) {

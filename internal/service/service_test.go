@@ -246,7 +246,6 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	var attempts []int
 	svc := newTestService(t, Config{
 		Obs: obsRun, MaxAttempts: 4,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 		Hooks: Hooks{BeforeAttempt: func(id string, attempt int) error {
 			attempts = append(attempts, attempt)
 			if attempt < 3 {
@@ -277,7 +276,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 
 func TestTransientExhaustionFails(t *testing.T) {
 	svc := newTestService(t, Config{
-		MaxAttempts: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
+		MaxAttempts: 2,
 		Hooks: Hooks{BeforeAttempt: func(string, int) error {
 			return fmt.Errorf("always down: %w", ErrTransient)
 		}},
@@ -508,21 +507,28 @@ func TestGracefulShutdownDrainsAndPersists(t *testing.T) {
 	if v, _ := svc.Job(ids[0]); v.State != StateDone {
 		t.Fatalf("in-flight job state after drain = %s, want done", v.State)
 	}
-	if _, err := os.Stat(queueFile(storeDir)); err != nil {
-		t.Fatalf("queue.json not written: %v", err)
+	if _, ok, err := svc.store.GetSidecar(queueSidecar); !ok || err != nil {
+		t.Fatalf("backlog not persisted: ok=%v err=%v", ok, err)
 	}
 
-	// Restart against the same store: the persisted jobs restore, run,
-	// and the queue file is consumed.
+	// Restart against the same store: the persisted jobs restore and run,
+	// the boot consumes the backlog, and a drain with nothing pending
+	// leaves none.
 	svc2 := newTestService(t, Config{StoreDir: storeDir, Concurrency: 2})
+	if _, ok, err := svc2.store.GetSidecar(queueSidecar); ok || err != nil {
+		t.Fatalf("backlog not consumed on restore: ok=%v err=%v", ok, err)
+	}
 	for _, id := range ids[1:] {
 		v := waitState(t, svc2, id)
 		if v.State != StateDone {
 			t.Fatalf("restored job %s failed: %s", id, v.Error)
 		}
 	}
-	if _, err := os.Stat(queueFile(storeDir)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("queue.json not consumed on restore: %v", err)
+	if persisted, err := svc2.Stop(ctx); persisted != 0 || err != nil {
+		t.Fatalf("idle drain persisted %d jobs, err %v", persisted, err)
+	}
+	if _, ok, err := svc2.store.GetSidecar(queueSidecar); ok || err != nil {
+		t.Fatalf("idle drain left a backlog: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -569,18 +575,15 @@ func TestShutdownDeadlineCancelsStragglers(t *testing.T) {
 
 func TestCorruptQueueFileDoesNotBrickBoot(t *testing.T) {
 	storeDir := t.TempDir()
-	if err := os.MkdirAll(storeDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(queueFile(storeDir), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(storeDir, queueSidecar+".sidecar"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	svc := newTestService(t, Config{StoreDir: storeDir})
-	if svc == nil {
-		t.Fatal("boot failed on corrupt queue.json")
+	if svc.QueueDepth() != 0 {
+		t.Fatalf("queue depth %d after a corrupt backlog, want 0", svc.QueueDepth())
 	}
-	if _, err := os.Stat(queueFile(storeDir) + ".corrupt"); err != nil {
-		t.Fatalf("corrupt queue.json not preserved for inspection: %v", err)
+	if _, err := os.Stat(filepath.Join(storeDir, "quarantine", queueSidecar+".sidecar")); err != nil {
+		t.Fatalf("corrupt backlog not quarantined: %v", err)
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 )
 
 // Sidecars are small operational blobs that live beside the
-// content-addressed objects: the flight-recorder dump a draining daemon
-// leaves behind, for example. They share writeArtifact's atomic
-// temp+fsync+rename discipline and the self-verifying DTSTORE1 header, so
-// a crash mid-dump can never leave a half-written file that parses — but
-// they are keyed by plain name, may be overwritten freely, and are never
-// part of the artifact cache contract.
+// content-addressed objects: the flight-recorder dump and the queued
+// backlog a draining daemon leaves behind, for example. They share
+// writeArtifact's atomic temp+fsync+rename discipline and the
+// self-verifying DTSTORE1 header, so a crash mid-dump can never leave a
+// half-written file that parses — but they are keyed by plain name, may be
+// overwritten or deleted freely, and are never part of the artifact cache
+// contract.
 
 // sidecarExt distinguishes sidecar files from cache artifacts in root/.
 const sidecarExt = ".sidecar"
@@ -51,6 +52,18 @@ func (s *Store) GetSidecar(name string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return nil, false, fmt.Errorf("store: get sidecar %s: %w", name, verr)
+}
+
+// DeleteSidecar removes the named sidecar; an absent one is not an error.
+func (s *Store) DeleteSidecar(name string) error {
+	if err := checkSidecarName(name); err != nil {
+		return err
+	}
+	err := os.Remove(filepath.Join(s.root, name+sidecarExt))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("store: delete sidecar %s: %w", name, err)
+	}
+	return nil
 }
 
 // checkSidecarName rejects names that could escape the store root or

@@ -33,6 +33,16 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, next) {
 		t.Fatalf("overwrite not visible: %q", got)
 	}
+
+	// Delete makes it absent; deleting an absent sidecar is a no-op.
+	for i := 0; i < 2; i++ {
+		if err := s.DeleteSidecar("flight"); err != nil {
+			t.Fatalf("DeleteSidecar #%d: %v", i+1, err)
+		}
+	}
+	if _, ok, err := s.GetSidecar("flight"); ok || err != nil {
+		t.Fatalf("deleted sidecar: ok=%v err=%v", ok, err)
+	}
 }
 
 func TestSidecarMissing(t *testing.T) {
@@ -101,6 +111,9 @@ func TestSidecarNameValidation(t *testing.T) {
 		}
 		if _, _, err := s.GetSidecar(bad); err == nil {
 			t.Errorf("GetSidecar(%q) accepted", bad)
+		}
+		if err := s.DeleteSidecar(bad); err == nil {
+			t.Errorf("DeleteSidecar(%q) accepted", bad)
 		}
 	}
 }
