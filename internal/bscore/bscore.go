@@ -15,51 +15,6 @@ import (
 	"difftrace/internal/cluster"
 )
 
-// FowlkesMallows computes B_k for two flat clusterings of the same n
-// observations. Both labelings must have the same length; the number of
-// clusters may differ (the general contingency form). Returns a value in
-// [0, 1]: 1 means identical partitions.
-func FowlkesMallows(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("bscore: labelings differ in length: %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n == 0 {
-		return 0, fmt.Errorf("bscore: empty labelings")
-	}
-	// Contingency table m[i][j] = |A_i ∩ B_j|.
-	m := map[[2]int]float64{}
-	rows := map[int]float64{}
-	cols := map[int]float64{}
-	for i := 0; i < n; i++ {
-		m[[2]int{a[i], b[i]}]++
-		rows[a[i]]++
-		cols[b[i]]++
-	}
-	var tk, pk, qk float64
-	for _, v := range m {
-		tk += v * v
-	}
-	tk -= float64(n)
-	for _, v := range rows {
-		pk += v * v
-	}
-	pk -= float64(n)
-	for _, v := range cols {
-		qk += v * v
-	}
-	qk -= float64(n)
-	if pk == 0 || qk == 0 {
-		// One side is all singletons: B_k is undefined; by convention both
-		// all-singleton partitions agree perfectly, otherwise 0.
-		if pk == 0 && qk == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return tk / math.Sqrt(pk*qk), nil
-}
-
 // BScore compares two dendrograms over the same n observations by averaging
 // B_k over every non-degenerate cut level k = 2..n-1 (Fowlkes & Mallows'
 // plot, collapsed to its mean as DiffTrace's single sorting key). For n ≤ 3
@@ -68,32 +23,17 @@ func BScore(l1, l2 *cluster.Linkage) (float64, error) {
 	if l1.N != l2.N {
 		return 0, fmt.Errorf("bscore: dendrograms over %d vs %d observations", l1.N, l2.N)
 	}
-	n := l1.N
-	if n < 2 {
+	if l1.N <= 2 {
+		// No merge or only the root: at k=2 (n == 2) both sides are all
+		// singletons, which agree by convention.
 		return 1, nil
 	}
-	lo, hi := 2, n-1
-	if hi < lo {
-		hi = lo // n == 2: compare at k=2 (all singletons on both sides)
+	bs := curve(l1, l2)
+	sum := 0.0
+	for _, b := range bs {
+		sum += b
 	}
-	sum, cnt := 0.0, 0
-	for k := lo; k <= hi; k++ {
-		c1, err := l1.CutK(k)
-		if err != nil {
-			return 0, err
-		}
-		c2, err := l2.CutK(k)
-		if err != nil {
-			return 0, err
-		}
-		bk, err := FowlkesMallows(c1, c2)
-		if err != nil {
-			return 0, err
-		}
-		sum += bk
-		cnt++
-	}
-	return sum / float64(cnt), nil
+	return sum / float64(len(bs)), nil
 }
 
 // Curve returns the full (k, B_k) series for plotting, k = 2..n-1.
@@ -101,25 +41,114 @@ func Curve(l1, l2 *cluster.Linkage) ([]int, []float64, error) {
 	if l1.N != l2.N {
 		return nil, nil, fmt.Errorf("bscore: dendrograms over %d vs %d observations", l1.N, l2.N)
 	}
-	var ks []int
-	var bs []float64
-	for k := 2; k <= l1.N-1; k++ {
-		c1, err := l1.CutK(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		c2, err := l2.CutK(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		bk, err := FowlkesMallows(c1, c2)
-		if err != nil {
-			return nil, nil, err
-		}
-		ks = append(ks, k)
-		bs = append(bs, bk)
+	if l1.N <= 2 {
+		return nil, nil, nil
+	}
+	bs := curve(l1, l2)
+	ks := make([]int, len(bs))
+	for i := range ks {
+		ks[i] = i + 2
 	}
 	return ks, bs, nil
+}
+
+// curve returns B_2..B_{n-1} (index k-2) for two dendrograms over the same
+// n > 2 observations. It walks both merge sequences once, from k = n-1 down
+// to 2, keeping the contingency table m_ij = |A_i ∩ B_j| between the two
+// flat clusterings and its three integer sums current. B_k is then
+//
+//	(Σm_ij² − n) / √((Σ|A_i|² − n)(Σ|B_j|² − n))
+//
+// in float64 arithmetic on the same exact integers that cutting both trees
+// at k and counting gives, so every B_k is bit-identical to cut-and-count.
+func curve(l1, l2 *cluster.Linkage) []float64 {
+	n := l1.N
+	c := newContingency(n)
+	reps := [2][]int32{leafIDs(n), leafIDs(n)}
+	bs := make([]float64, n-2)
+	for k := n - 1; k >= 2; k-- {
+		for side, l := range [2]*cluster.Linkage{l1, l2} {
+			st := l.Steps[n-1-k]
+			reps[side] = append(reps[side], c.merge(side, reps[side][st.A], reps[side][st.B]))
+		}
+		bs[k-2] = c.bk()
+	}
+	return bs
+}
+
+// leafIDs returns the identity map over n leaves: dendrogram cluster id →
+// its representative leaf, extended by one entry per merge.
+func leafIDs(n int) []int32 {
+	ids := make([]int32, n, 2*n-1)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// contingency is the sparse table m_ij = |A_i ∩ B_j| between two flat
+// clusterings A (side 0) and B (side 1) of n observations, each cluster
+// named by a representative leaf. lines[0][i] maps j to m_ij (A's rows)
+// and lines[1][j] maps i to m_ij (B's columns); both views hold the same
+// nonzero cells.
+type contingency struct {
+	n     int64
+	lines [2][]map[int32]int32
+	size  [2][]int64
+	sq    [2]int64 // Σ|A_i|², Σ|B_j|²
+	t     int64    // Σ m_ij²
+}
+
+// newContingency starts from all singletons on both sides: m = I.
+func newContingency(n int) *contingency {
+	c := &contingency{n: int64(n), sq: [2]int64{int64(n), int64(n)}, t: int64(n)}
+	for side := range c.lines {
+		c.lines[side] = make([]map[int32]int32, n)
+		c.size[side] = make([]int64, n)
+		for i := range c.lines[side] {
+			c.lines[side][i] = map[int32]int32{int32(i): 1}
+			c.size[side][i] = 1
+		}
+	}
+	return c
+}
+
+// merge merges clusters x and y of one side and returns the survivor's
+// representative. That side's Σ|·|² gains 2·|x|·|y| and Σm² gains
+// 2·Σ_j m_xj·m_yj. The line with fewer cells is folded into the other, so
+// each cell moves O(log n) times over the whole walk.
+func (c *contingency) merge(side int, x, y int32) int32 {
+	own, cross := c.lines[side], c.lines[1-side]
+	if len(own[x]) < len(own[y]) {
+		x, y = y, x
+	}
+	size := c.size[side]
+	c.sq[side] += 2 * size[x] * size[y]
+	size[x] += size[y]
+	lx := own[x]
+	for j, v := range own[y] {
+		w := lx[j]
+		c.t += 2 * int64(v) * int64(w)
+		lx[j] = w + v
+		delete(cross[j], y)
+		cross[j][x] = w + v
+	}
+	own[y] = nil
+	return x
+}
+
+// bk is Fowlkes & Mallows' B_k for the current pair of partitions. When a
+// side is all singletons B_k is undefined; by convention two all-singleton
+// partitions agree perfectly, otherwise 0.
+func (c *contingency) bk() float64 {
+	tk, pk, qk := float64(c.t-c.n), float64(c.sq[0]-c.n), float64(c.sq[1]-c.n)
+	if pk == 0 || qk == 0 {
+		if pk == 0 && qk == 0 {
+			return 1
+		}
+		return 0
+	}
+	return tk / math.Sqrt(pk*qk)
 }
 
 // RenderCurve draws the (k, B_k) series as an ASCII sparkline — the plot

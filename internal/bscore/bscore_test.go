@@ -1,6 +1,7 @@
 package bscore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,181 @@ import (
 
 	"difftrace/internal/cluster"
 )
+
+// FowlkesMallows computes B_k for two flat clusterings of the same n
+// observations from their contingency table. Both labelings must have the
+// same length; the number of clusters may differ. It and the cut-and-count
+// loops below are the oracle the merge walk is held to.
+func FowlkesMallows(a, b []int) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("bscore: labelings differ in length: %d vs %d", len(a), len(b))
+	}
+	n := len(a)
+	if n == 0 {
+		return 0, fmt.Errorf("bscore: empty labelings")
+	}
+	// Contingency table m[i][j] = |A_i ∩ B_j|.
+	m := map[[2]int]float64{}
+	rows := map[int]float64{}
+	cols := map[int]float64{}
+	for i := 0; i < n; i++ {
+		m[[2]int{a[i], b[i]}]++
+		rows[a[i]]++
+		cols[b[i]]++
+	}
+	var tk, pk, qk float64
+	for _, v := range m {
+		tk += v * v
+	}
+	tk -= float64(n)
+	for _, v := range rows {
+		pk += v * v
+	}
+	pk -= float64(n)
+	for _, v := range cols {
+		qk += v * v
+	}
+	qk -= float64(n)
+	if pk == 0 || qk == 0 {
+		if pk == 0 && qk == 0 {
+			return 1, nil
+		}
+		return 0, nil
+	}
+	return tk / math.Sqrt(pk*qk), nil
+}
+
+// oracleCurve cuts both dendrograms at every k = 2..n-1 and scores each cut
+// pair with FowlkesMallows.
+func oracleCurve(l1, l2 *cluster.Linkage) ([]int, []float64, error) {
+	if l1.N != l2.N {
+		return nil, nil, fmt.Errorf("bscore: dendrograms over %d vs %d observations", l1.N, l2.N)
+	}
+	var ks []int
+	var bs []float64
+	for k := 2; k <= l1.N-1; k++ {
+		c1, err := l1.CutK(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		c2, err := l2.CutK(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		bk, err := FowlkesMallows(c1, c2)
+		if err != nil {
+			return nil, nil, err
+		}
+		ks = append(ks, k)
+		bs = append(bs, bk)
+	}
+	return ks, bs, nil
+}
+
+// oracleBScore is the mean of B_k over k = 2..n-1 (k = 2 alone for n ≤ 3),
+// summed in ascending k.
+func oracleBScore(l1, l2 *cluster.Linkage) (float64, error) {
+	if l1.N != l2.N {
+		return 0, fmt.Errorf("bscore: dendrograms over %d vs %d observations", l1.N, l2.N)
+	}
+	n := l1.N
+	if n < 2 {
+		return 1, nil
+	}
+	lo, hi := 2, n-1
+	if hi < lo {
+		hi = lo
+	}
+	sum, cnt := 0.0, 0
+	for k := lo; k <= hi; k++ {
+		c1, err := l1.CutK(k)
+		if err != nil {
+			return 0, err
+		}
+		c2, err := l2.CutK(k)
+		if err != nil {
+			return 0, err
+		}
+		bk, err := FowlkesMallows(c1, c2)
+		if err != nil {
+			return 0, err
+		}
+		sum += bk
+		cnt++
+	}
+	return sum / float64(cnt), nil
+}
+
+// tieMatrix is a random n×n dissimilarity matrix drawn from few distinct
+// values, so most pairs tie, like the JSMs of real trace sets.
+func tieMatrix(rng *rand.Rand, n, levels int) [][]float64 {
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := float64(rng.Intn(levels)) / float64(levels)
+			d[i][j], d[j][i] = v, v
+		}
+	}
+	return d
+}
+
+// TestMergeWalkMatchesCutAndCount: BScore and Curve equal the cut-and-count
+// oracle bit for bit, for every linkage method and every n up to 80, on
+// tie-heavy random matrices.
+func TestMergeWalkMatchesCutAndCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, method := range cluster.AllMethods() {
+		for n := 0; n <= 80; n++ {
+			levels := 2 + rng.Intn(4)
+			l1, err := cluster.Build(tieMatrix(rng, n, levels), method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2, err := cluster.Build(tieMatrix(rng, n, levels), method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]*cluster.Linkage{{l1, l2}, {l2, l1}, {l1, l1}} {
+				want, err := oracleBScore(pair[0], pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BScore(pair[0], pair[1])
+				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d: BScore = %v (%v), oracle %v", method, n, got, err, want)
+				}
+				wks, wbs, err := oracleCurve(pair[0], pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ks, bs, err := Curve(pair[0], pair[1])
+				if err != nil || len(ks) != len(wks) || len(bs) != len(wbs) {
+					t.Fatalf("%s n=%d: Curve = %v %v (%v), oracle %v %v", method, n, ks, bs, err, wks, wbs)
+				}
+				for i := range wks {
+					if ks[i] != wks[i] || math.Float64bits(bs[i]) != math.Float64bits(wbs[i]) {
+						t.Fatalf("%s n=%d: B_%d = %v, oracle B_%d = %v", method, n, ks[i], bs[i], wks[i], wbs[i])
+					}
+				}
+			}
+			if n > 0 {
+				short, err := cluster.Build(tieMatrix(rng, n-1, levels), method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := BScore(l1, short); err == nil {
+					t.Fatalf("%s n=%d: BScore accepted an %d-observation dendrogram", method, n, n-1)
+				}
+				if _, _, err := Curve(short, l1); err == nil {
+					t.Fatalf("%s n=%d: Curve accepted an %d-observation dendrogram", method, n, n-1)
+				}
+			}
+		}
+	}
+}
 
 func TestFowlkesMallowsIdentical(t *testing.T) {
 	got, err := FowlkesMallows([]int{0, 0, 1, 1}, []int{1, 1, 0, 0})

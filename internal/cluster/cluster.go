@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -148,40 +149,37 @@ func Build(d [][]float64, method Method) (*Linkage, error) {
 		return lk, nil
 	}
 
-	// Working copy; geometric methods run in squared space.
+	// Working copy, row-major; geometric methods run in squared space.
 	sq := method.squaredSpace()
-	cur := make([][]float64, n)
-	for i := range cur {
-		cur[i] = make([]float64, n)
-		for j := range d[i] {
-			v := d[i][j]
+	cur := make([]float64, n*n)
+	for i := range d {
+		for j, v := range d[i] {
 			if sq {
 				v = v * v
 			}
-			cur[i][j] = v
+			cur[i*n+j] = v
 		}
 	}
-	active := make([]int, n)   // active[slot] = cluster id, -1 when merged away
+	live := make([]int, n)     // slots still holding a cluster, ascending
+	active := make([]int, n)   // active[slot] = cluster id
 	size := make([]float64, n) // leaves per slot
 	for i := range active {
+		live[i] = i
 		active[i] = i
 		size[i] = 1
 	}
 	nextID := n
 	for step := 0; step < n-1; step++ {
-		// Find the closest active pair (deterministic tie-break by ids).
+		// Find the closest live pair in row-major order: a later pair
+		// replaces the running best only when closer by more than 1e-15.
 		bi, bj := -1, -1
 		best := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if active[i] < 0 {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if active[j] < 0 {
-					continue
-				}
-				if cur[i][j] < best-1e-15 {
-					best = cur[i][j]
+		thr := best - 1e-15
+		for a, i := range live {
+			row := cur[i*n : i*n+n]
+			for _, j := range live[a+1:] {
+				if v := row[j]; v < thr {
+					best, thr = v, v-1e-15
 					bi, bj = i, j
 				}
 			}
@@ -198,18 +196,19 @@ func Build(d [][]float64, method Method) (*Linkage, error) {
 		lk.Steps = append(lk.Steps, Step{A: a, B: b, Distance: dist, Size: int(ni + nj)})
 
 		// Lance–Williams update: slot bi becomes the merged cluster.
-		for k := 0; k < n; k++ {
-			if active[k] < 0 || k == bi || k == bj {
+		dij := cur[bi*n+bj]
+		for _, k := range live {
+			if k == bi || k == bj {
 				continue
 			}
 			ai, aj, beta, gamma := method.coeffs(ni, nj, size[k])
-			nd := ai*cur[k][bi] + aj*cur[k][bj] + beta*cur[bi][bj] +
-				gamma*math.Abs(cur[k][bi]-cur[k][bj])
-			cur[k][bi], cur[bi][k] = nd, nd
+			dki, dkj := cur[k*n+bi], cur[k*n+bj]
+			nd := ai*dki + aj*dkj + beta*dij + gamma*math.Abs(dki-dkj)
+			cur[k*n+bi], cur[bi*n+k] = nd, nd
 		}
 		active[bi] = nextID
 		nextID++
-		active[bj] = -1
+		live = slices.DeleteFunc(live, func(k int) bool { return k == bj })
 		size[bi] = ni + nj
 	}
 	return lk, nil

@@ -378,3 +378,139 @@ func TestQuickSingleCopheneticBound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// buildFullScan is the reference linkage: the closest-pair scan visits
+// every (i, j>i) slot pair of an n×n [][]float64, dead slots included, and
+// is the oracle the live-slot scan is held to.
+func buildFullScan(d [][]float64, method Method) *Linkage {
+	n := len(d)
+	lk := &Linkage{N: n}
+	if n <= 1 {
+		return lk
+	}
+	sq := method.squaredSpace()
+	cur := make([][]float64, n)
+	for i := range cur {
+		cur[i] = make([]float64, n)
+		for j := range d[i] {
+			v := d[i][j]
+			if sq {
+				v = v * v
+			}
+			cur[i][j] = v
+		}
+	}
+	active := make([]int, n)
+	size := make([]float64, n)
+	for i := range active {
+		active[i] = i
+		size[i] = 1
+	}
+	nextID := n
+	for step := 0; step < n-1; step++ {
+		bi, bj := -1, -1
+		best := math.Inf(1)
+		for i := 0; i < n; i++ {
+			if active[i] < 0 {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if active[j] < 0 {
+					continue
+				}
+				if cur[i][j] < best-1e-15 {
+					best = cur[i][j]
+					bi, bj = i, j
+				}
+			}
+		}
+		ni, nj := size[bi], size[bj]
+		dist := best
+		if sq {
+			dist = math.Sqrt(math.Max(0, dist))
+		}
+		a, b := active[bi], active[bj]
+		if a > b {
+			a, b = b, a
+		}
+		lk.Steps = append(lk.Steps, Step{A: a, B: b, Distance: dist, Size: int(ni + nj)})
+		for k := 0; k < n; k++ {
+			if active[k] < 0 || k == bi || k == bj {
+				continue
+			}
+			ai, aj, beta, gamma := method.coeffs(ni, nj, size[k])
+			nd := ai*cur[k][bi] + aj*cur[k][bj] + beta*cur[bi][bj] +
+				gamma*math.Abs(cur[k][bi]-cur[k][bj])
+			cur[k][bi], cur[bi][k] = nd, nd
+		}
+		active[bi] = nextID
+		nextID++
+		active[bj] = -1
+		size[bi] = ni + nj
+	}
+	return lk
+}
+
+// tieMatrix draws each distance from four levels, then nudges it up by
+// fewer than ulps ulps (at most four stay under 1e-15 at 1.0), so pairs
+// tie exactly or within the scan's 1e-15 tolerance. With skew, the lower
+// triangle is nudged apart from the upper one too, as far as Build's 1e-9
+// symmetry check lets a caller's matrix go.
+func tieMatrix(rng *rand.Rand, n, ulps int, skew bool) [][]float64 {
+	nudge := func(v float64) float64 {
+		for u := rng.Intn(ulps); u > 0; u-- {
+			v = math.Nextafter(v, 2)
+		}
+		return v
+	}
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := nudge(float64(rng.Intn(4)) / 3)
+			d[i][j], d[j][i] = v, v
+			if skew {
+				d[j][i] = nudge(v)
+			}
+		}
+	}
+	return d
+}
+
+// TestLiveSlotScanMatchesFullScan: Build's steps equal the full-scan
+// reference's, distances bit for bit, for every method on matrices full of
+// exact ties and of near-ties closer than 1e-15.
+func TestLiveSlotScanMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, method := range AllMethods() {
+		for trial := 0; trial < 60; trial++ {
+			n := rng.Intn(60)
+			var d [][]float64
+			switch trial % 3 {
+			case 0:
+				d = tieMatrix(rng, n, 1, false) // exact ties only
+			case 1:
+				d = tieMatrix(rng, n, 5, false)
+			case 2:
+				d = tieMatrix(rng, n, 5, true)
+			}
+			got, err := Build(d, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := buildFullScan(d, method)
+			if got.N != want.N || len(got.Steps) != len(want.Steps) {
+				t.Fatalf("%s n=%d: %d steps, reference %d", method, n, len(got.Steps), len(want.Steps))
+			}
+			for s := range want.Steps {
+				g, w := got.Steps[s], want.Steps[s]
+				if g.A != w.A || g.B != w.B || g.Size != w.Size ||
+					math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+					t.Fatalf("%s n=%d step %d: %+v, reference %+v", method, n, s, g, w)
+				}
+			}
+		}
+	}
+}

@@ -7,10 +7,13 @@
 //
 // One DiffRun compares a normal execution against a faulty one under a
 // single parameter combination (filter spec, attribute config, linkage
-// method); the rank package sweeps combinations to build the paper's
-// ranking tables. Each execution is a Source: a materialized
-// trace.TraceSet or a compressed parlot.StreamSet, read through the same
-// event loop.
+// method). It is two phases: Summarize filters and NLR-summarizes both
+// executions, which depends on the filter spec alone, and Analyze takes the
+// summaries from attributes to suspects for one attribute config and
+// linkage. The rank package sweeps combinations to build the paper's
+// ranking tables, summarizing once per spec. Each execution is a Source: a
+// materialized trace.TraceSet or a compressed parlot.StreamSet, read
+// through the same event loop.
 //
 // The pipeline is internally parallel (Config.Workers) yet deterministic:
 // per-object NLR runs on overlay loop tables that are merged at a barrier
@@ -146,40 +149,56 @@ func fireStage(stage, object string) {
 // parse oscillation.
 const maxRounds = 4
 
-// sideRun is one execution side of one level during the run.
+// sideRun is one execution side of one level, as summarized.
 type sideRun struct {
 	name string // "normal" | "faulty"
 	objs []object
 	// Per-object state, indexed like objs. elems holds the final-round NLR
-	// sequences; failed objects carry their StageError in nlrErrs/attrErrs.
-	elems    [][]nlr.Element
-	attrs    []fca.AttrSet
-	nlrErrs  []*resilience.StageError
-	attrErrs []*resilience.StageError
+	// sequences; objects whose summarization failed carry their
+	// StageError in nlrErrs.
+	elems   [][]nlr.Element
+	nlrErrs []*resilience.StageError
 }
 
 func newSideRun(name string, objs []object) *sideRun {
 	return &sideRun{
-		name:     name,
-		objs:     objs,
-		elems:    make([][]nlr.Element, len(objs)),
-		attrs:    make([]fca.AttrSet, len(objs)),
-		nlrErrs:  make([]*resilience.StageError, len(objs)),
-		attrErrs: make([]*resilience.StageError, len(objs)),
+		name:    name,
+		objs:    objs,
+		elems:   make([][]nlr.Element, len(objs)),
+		nlrErrs: make([]*resilience.StageError, len(objs)),
 	}
 }
 
-// levelRun is the per-level scratch state of one DiffRun.
+// levelRun is one level of a Summaries: its two summarized sides. Analyze
+// only reads it.
 type levelRun struct {
 	stage string
 	key   string      // obs span segment: "threads" | "processes"
 	sides [2]*sideRun // 0 = normal, 1 = faulty
 	// dead marks a level whose entry stage failed (Resilient runs): its
-	// objects are excluded from summarization and it degrades to
-	// emptyLevel.
-	dead  bool
-	err   *resilience.StageError // level-wide failure
-	level *Level
+	// objects are excluded from summarization, err holds the failure, and
+	// every Analyze degrades the level to emptyLevel.
+	dead bool
+	err  *resilience.StageError
+}
+
+// levelAnalysis is one Analyze call's state for one level: each side's
+// attribute sets and extraction failures (indexed like sideRun.objs), a
+// level-wide analysis failure, and the resulting Level.
+type levelAnalysis struct {
+	attrs    [2][]fca.AttrSet
+	attrErrs [2][]*resilience.StageError
+	err      *resilience.StageError
+	level    *Level
+}
+
+func newLevelAnalysis(lv *levelRun) *levelAnalysis {
+	la := &levelAnalysis{}
+	for k, s := range lv.sides {
+		la.attrs[k] = make([]fca.AttrSet, len(s.objs))
+		la.attrErrs[k] = make([]*resilience.StageError, len(s.objs))
+	}
+	return la
 }
 
 // Source is one execution's per-thread event streams: a materialized
@@ -220,23 +239,60 @@ func DiffRunStreamContext(ctx context.Context, normal, faulty *parlot.StreamSet,
 // degraded-but-complete one. A nil ctx is never cancelled, making
 // DiffRunContext(nil, ...) exactly DiffRun.
 //
-// Every summarization round replays each source and filters its events as
-// they are read, so a compressed source is never expanded: peak memory is
-// bounded by the compressed traces plus the summarized forms. The report
-// depends only on the events, never on which kind of Source carried them.
+// A run is its two phases: Summarize, then one Analyze of cfg.Attr and
+// cfg.Linkage.
 func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Report, error) {
 	if cfg.Filter == nil {
 		cfg.Filter = filter.Everything()
 	}
-	if cfg.Attr.Kind == attr.Context && cfg.Filter.DropReturns {
-		return nil, fmt.Errorf("core: caller/callee (ctx) attributes need return events; use a filter spec starting with 0")
+	if err := checkAttr(cfg.Filter, cfg.Attr); err != nil {
+		return nil, err
+	}
+	spRun := cfg.Obs.StartSpan("diffrun")
+	defer spRun.End()
+	s, err := Summarize(ctx, normal, faulty, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Analyze(ctx, cfg.Attr, cfg.Linkage)
+}
+
+// checkAttr rejects an attribute config the filter cannot feed.
+func checkAttr(flt *filter.Filter, ac attr.Config) error {
+	if ac.Kind == attr.Context && flt.DropReturns {
+		return fmt.Errorf("core: caller/callee (ctx) attributes need return events; use a filter spec starting with 0")
+	}
+	return nil
+}
+
+// Summaries is the attribute-independent half of a DiffRun: both
+// executions' thread and process objects, filtered and NLR-summarized
+// against one loop table. Nothing in it depends on the attribute config or
+// the linkage, so a sweep summarizes once per filter spec and analyzes
+// every combination of that spec from the same Summaries.
+type Summaries struct {
+	cfg    Config
+	table  *nlr.Table
+	levels []*levelRun
+}
+
+// Summarize is a DiffRun's first phase under cfg's filter, worker budget,
+// Resilient and Obs settings: it resolves the filter's keep decisions and
+// the NLR vocabulary once per registry, lists both sides' objects, enters
+// each level, and runs the NLR rounds. cfg.Attr and cfg.Linkage are not
+// read; Analyze supplies them. ctx is honoured as in DiffRunContext.
+//
+// Every summarization round replays each source and filters its events as
+// they are read, so a compressed source is never expanded: peak memory is
+// bounded by the compressed traces plus the summarized forms. The result
+// depends only on the events, never on which kind of Source carried them.
+func Summarize(ctx context.Context, normal, faulty Source, cfg Config) (*Summaries, error) {
+	if cfg.Filter == nil {
+		cfg.Filter = filter.Everything()
 	}
 	run := cfg.Obs
-	spRun := run.StartSpan("diffrun")
-	defer spRun.End()
 	table := nlr.NewTable()
 	table.Observe(run)
-	rep := &Report{Cfg: cfg, LoopTable: table}
 
 	// Keep decisions and NLR vocabulary are resolved once per job and
 	// registry (a normal/faulty pair normally shares one).
@@ -250,7 +306,6 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 		newLevelRun("thread level", "threads", nThreads, fThreads),
 		newLevelRun("process level", "processes", nProcs, fProcs),
 	}
-	prog := obs.ProgressFrom(ctx)
 
 	// Level entry: historically the first stage of each level's work. In a
 	// Resilient run a failure here kills just that level.
@@ -268,38 +323,56 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 		}
 	}
 
-	// Phase 1: NLR over every (level, side, object) of the live levels,
-	// in parallel, against a shared deterministic loop table.
-	prog.SetStage("summarize")
+	// NLR over every (level, side, object) of the live levels, in
+	// parallel, against a shared deterministic loop table.
+	obs.ProgressFrom(ctx).SetStage("summarize")
 	spSum := run.StartSpan("summarize")
 	if err := summarizeAll(ctx, levels, cfg, table); err != nil {
 		return nil, err
 	}
 	spSum.End()
 	run.Counter("nlr.table.bodies").Add(int64(table.Len()))
+	return &Summaries{cfg: cfg, table: table, levels: levels}, nil
+}
 
-	// Phase 2: per-level attribute extraction + analysis; the two levels
-	// run concurrently with a divided worker budget.
-	prog.SetStage("analyze")
+// Analyze is a DiffRun's second phase for one attribute config and linkage
+// method: per level, attribute extraction, the lattices or JSMs, both
+// linkages, JSM_D, the B-score and the suspects. The two levels run
+// concurrently with a divided worker budget. The report is byte-identical
+// to DiffRunContext's for the same combination. Analyze leaves s
+// unchanged, so any number of calls may share it; the reports share its
+// loop table and NLR sequences.
+func (s *Summaries) Analyze(ctx context.Context, ac attr.Config, method cluster.Method) (*Report, error) {
+	cfg := s.cfg
+	cfg.Attr, cfg.Linkage = ac, method
+	if err := checkAttr(cfg.Filter, ac); err != nil {
+		return nil, err
+	}
+	run := cfg.Obs
+	obs.ProgressFrom(ctx).SetStage("analyze")
 	spAn := run.StartSpan("analyze")
 	w := cfg.workers()
-	levelW := pool.Divide(w, len(levels))
-	levelErrs := make([]error, len(levels))
-	poolErr := pool.Do(ctx, run, "core.levels", w, len(levels), func(i int) {
-		lv := levels[i]
+	levelW := pool.Divide(w, len(s.levels))
+	res := make([]*levelAnalysis, len(s.levels))
+	for i, lv := range s.levels {
+		res[i] = newLevelAnalysis(lv)
+	}
+	levelErrs := make([]error, len(s.levels))
+	poolErr := pool.Do(ctx, run, "core.levels", w, len(s.levels), func(i int) {
+		lv, la := s.levels[i], res[i]
 		if lv.dead {
-			lv.level = emptyLevel()
+			la.level = emptyLevel()
 			return
 		}
 		if !cfg.Resilient {
-			levelErrs[i] = lv.analyze(ctx, cfg, levelW)
+			levelErrs[i] = lv.analyze(ctx, cfg, levelW, la)
 			return
 		}
 		if serr := resilience.Guard(lv.stage, "", func() error {
-			return lv.analyze(ctx, cfg, levelW)
+			return lv.analyze(ctx, cfg, levelW, la)
 		}); serr != nil {
-			lv.err = serr
-			lv.level = emptyLevel()
+			la.err = serr
+			la.level = emptyLevel()
 		}
 	})
 	// Cancellation overrides Resilient degradation: any level failure that
@@ -310,7 +383,7 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("core: analyze: %w", ctx.Err())
 	}
-	for i, lv := range levels {
+	for i, lv := range s.levels {
 		if err := levelErrs[i]; err != nil {
 			return nil, fmt.Errorf("core: %s: %w", lv.stage, err)
 		}
@@ -320,26 +393,27 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 	// Degraded accounting in canonical order: per level, the normal side's
 	// NLR then attribute errors in object order, the faulty side's
 	// likewise, then any level-wide failure.
-	for _, lv := range levels {
-		for _, s := range lv.sides {
-			for _, e := range s.nlrErrs {
-				if e != nil {
-					rep.Degraded = append(rep.Degraded, e)
-				}
-			}
-			for _, e := range s.attrErrs {
-				if e != nil {
-					rep.Degraded = append(rep.Degraded, e)
+	rep := &Report{Cfg: cfg, LoopTable: s.table}
+	for i, lv := range s.levels {
+		la := res[i]
+		for k, side := range lv.sides {
+			for _, errs := range [][]*resilience.StageError{side.nlrErrs, la.attrErrs[k]} {
+				for _, e := range errs {
+					if e != nil {
+						rep.Degraded = append(rep.Degraded, e)
+					}
 				}
 			}
 		}
-		if lv.err != nil {
-			rep.Degraded = append(rep.Degraded, lv.err)
+		for _, e := range []*resilience.StageError{lv.err, la.err} {
+			if e != nil {
+				rep.Degraded = append(rep.Degraded, e)
+			}
 		}
 	}
-	rep.Threads = levels[0].level
-	rep.Processes = levels[1].level
-	rep.observe(run, levels)
+	rep.Threads = res[0].level
+	rep.Processes = res[1].level
+	rep.observe(run, s.levels, res)
 	return rep, nil
 }
 
@@ -347,13 +421,14 @@ func DiffRunContext(ctx context.Context, normal, faulty Source, cfg Config) (*Re
 // object/attribute/JSM-cell counts, NLR sequence-length distribution, and
 // the degraded-stage list (already in canonical order, so the manifest is
 // schedule-independent). Counters rather than gauges so that sweeps, which
-// share one obs.Run across many DiffRuns, aggregate deterministically.
-func (rep *Report) observe(run *obs.Run, levels []*levelRun) {
+// share one obs.Run across many analyses, aggregate deterministically.
+func (rep *Report) observe(run *obs.Run, levels []*levelRun, res []*levelAnalysis) {
 	if run == nil {
 		return
 	}
 	seqLen := run.Histogram("nlr.seq_len")
-	for _, lv := range levels {
+	for li, lv := range levels {
+		la := res[li]
 		// Metric names are compile-time literals per level key (the
 		// obsdiscipline check forbids runtime-built names, which cap
 		// cardinality at what the source declares).
@@ -370,10 +445,10 @@ func (rep *Report) observe(run *obs.Run, levels []*levelRun) {
 			attrsC = run.Counter("core.processes.attrs")
 			jsmCells = run.Counter("core.processes.jsm_cells")
 		}
-		for _, s := range lv.sides {
+		for k, s := range lv.sides {
 			for i := range s.objs {
 				objects.Add(1)
-				if s.nlrErrs[i] != nil || s.attrErrs[i] != nil {
+				if s.nlrErrs[i] != nil || la.attrErrs[k][i] != nil {
 					failed.Add(1)
 					continue
 				}
@@ -381,8 +456,8 @@ func (rep *Report) observe(run *obs.Run, levels []*levelRun) {
 				seqLen.Observe(int64(len(s.elems[i])))
 			}
 		}
-		if lv.level != nil && lv.level.JSMD != nil {
-			n := len(lv.level.JSMD.Names)
+		if la.level != nil && la.level.JSMD != nil {
+			n := len(la.level.JSMD.Names)
 			jsmCells.Add(int64(n * (n - 1) / 2))
 		}
 	}
@@ -494,38 +569,39 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 }
 
 // analyze runs one level's attribute extraction and both sides' analyses,
-// then the cross-side comparison, with up to w workers. A dead ctx aborts
-// between stages with the wrapped ctx error.
-func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
+// then the cross-side comparison, with up to w workers, into la. A dead ctx
+// aborts between stages with the wrapped ctx error.
+func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int, la *levelAnalysis) error {
 	// Attribute extraction over both sides' objects in parallel. Failed
 	// objects (either stage) are excluded from both sides below.
 	type attrItem struct {
-		side *sideRun
+		side int
 		idx  int
 	}
 	var items []attrItem
-	for _, s := range lv.sides {
+	for k, s := range lv.sides {
 		for i := range s.objs {
 			if s.nlrErrs[i] == nil {
-				items = append(items, attrItem{side: s, idx: i})
+				items = append(items, attrItem{side: k, idx: i})
 			}
 		}
 	}
 	run := cfg.Obs
 	attrErr := pool.Do(ctx, run, "core.attr", w, len(items), func(i int) {
 		it := items[i]
-		o := it.side.objs[it.idx]
-		stage := lv.stage + "/" + it.side.name + "/attr"
-		sp := run.StartSpan("analyze/" + lv.key + "/" + it.side.name + "/attr")
+		side := lv.sides[it.side]
+		o := side.objs[it.idx]
+		stage := lv.stage + "/" + side.name + "/attr"
+		sp := run.StartSpan("analyze/" + lv.key + "/" + side.name + "/attr")
 		defer sp.End()
 		work := func() {
 			fireStage(stage, o.name)
 			if cfg.Attr.Kind == attr.Context {
 				// Caller→callee attributes come from the raw enter/exit
 				// nesting, not the NLR sequence.
-				it.side.attrs[it.idx] = o.extractContext(ctx, cfg.Attr.Freq)
+				la.attrs[it.side][it.idx] = o.extractContext(ctx, cfg.Attr.Freq)
 			} else {
-				it.side.attrs[it.idx] = attr.Extract(it.side.elems[it.idx], cfg.Attr)
+				la.attrs[it.side][it.idx] = attr.Extract(side.elems[it.idx], cfg.Attr)
 			}
 		}
 		if !cfg.Resilient {
@@ -536,7 +612,7 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 			work()
 			return nil
 		}); serr != nil {
-			it.side.attrErrs[it.idx] = serr
+			la.attrErrs[it.side][it.idx] = serr
 		}
 	})
 	if attrErr != nil {
@@ -546,9 +622,9 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 	// An object skipped on either side must leave both, so the two JSMs
 	// keep identical name sets and jaccard.Diff/BScore stay well-defined.
 	excluded := map[string]bool{}
-	for _, s := range lv.sides {
+	for k, s := range lv.sides {
 		for i, o := range s.objs {
-			if s.nlrErrs[i] != nil || s.attrErrs[i] != nil {
+			if s.nlrErrs[i] != nil || la.attrErrs[k][i] != nil {
 				excluded[o.name] = true
 			}
 		}
@@ -560,10 +636,10 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 	// are schedule-independent and both sides' intents share a bit universe
 	// — every lattice and JSM kernel below is then pure word arithmetic.
 	interner := fca.NewInterner()
-	for _, s := range lv.sides {
-		for i := range s.objs {
-			if s.attrs[i] != nil {
-				s.attrs[i] = fca.NewAttrSetIn(interner, s.attrs[i].Sorted()...)
+	for _, attrs := range la.attrs {
+		for i, a := range attrs {
+			if a != nil {
+				attrs[i] = fca.NewAttrSetIn(interner, a.Sorted()...)
 			}
 		}
 	}
@@ -576,7 +652,7 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 	buildErr := pool.Do(ctx, run, "core.sides", w, 2, func(i int) {
 		sp := run.StartSpan("analyze/" + lv.key + "/" + lv.sides[i].name + "/build")
 		defer sp.End()
-		analyses[i], sideErrs[i] = lv.sides[i].buildAnalysis(cfg, interner, excluded, sideW)
+		analyses[i], sideErrs[i] = lv.sides[i].buildAnalysis(la.attrs[i], cfg, interner, excluded, sideW)
 	})
 	if buildErr != nil {
 		return fmt.Errorf("build: %w", buildErr)
@@ -598,7 +674,7 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 	if err != nil {
 		return err
 	}
-	lv.level = &Level{
+	la.level = &Level{
 		Normal:   normal,
 		Faulty:   faulty,
 		JSMD:     jsmd,
@@ -609,10 +685,11 @@ func (lv *levelRun) analyze(ctx context.Context, cfg Config, w int) error {
 }
 
 // buildAnalysis assembles the lattice/JSM/linkage for one execution side
-// from the objects that survived summarization and extraction. All attr
-// sets are already bound to the per-level interner, which the side's
-// lattice shares so normal/faulty intents stay comparable as bitsets.
-func (s *sideRun) buildAnalysis(cfg Config, interner *fca.Interner, excluded map[string]bool, w int) (*Analysis, error) {
+// from the objects that survived summarization and extraction, whose
+// attribute sets objAttrs holds (indexed like s.objs). All attr sets are
+// already bound to the per-level interner, which the side's lattice shares
+// so normal/faulty intents stay comparable as bitsets.
+func (s *sideRun) buildAnalysis(objAttrs []fca.AttrSet, cfg Config, interner *fca.Interner, excluded map[string]bool, w int) (*Analysis, error) {
 	nlrs := make(map[string][]nlr.Element, len(s.objs))
 	attrs := make(map[string]fca.AttrSet, len(s.objs))
 	for i, o := range s.objs {
@@ -620,7 +697,7 @@ func (s *sideRun) buildAnalysis(cfg Config, interner *fca.Interner, excluded map
 			continue
 		}
 		nlrs[o.name] = s.elems[i]
-		attrs[o.name] = s.attrs[i]
+		attrs[o.name] = objAttrs[i]
 	}
 	a := &Analysis{NLR: nlrs, Attrs: attrs}
 	if cfg.BuildLattices {

@@ -302,6 +302,13 @@ func TestContextAttributesRequireReturns(t *testing.T) {
 	if _, err := DiffRun(normal, faulty, cfg); err == nil {
 		t.Fatal("ctx attrs with a return-dropping filter accepted")
 	}
+	sum, err := Summarize(nil, normal, faulty, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sum.Analyze(nil, cfg.Attr, cfg.Linkage); err == nil {
+		t.Fatal("Analyze accepted ctx attrs over a return-dropping filter")
+	}
 	// With returns kept the pipeline runs — and demonstrates the family's
 	// blind spot: caller→callee pairs are order-insensitive, so swapping
 	// Send/Recv changes no context attribute at all. The swapBug is

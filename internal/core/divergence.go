@@ -114,7 +114,7 @@ func (r *Report) levelDivergence(ctx context.Context, name string, level *Level)
 	for o := range seen {
 		objs = append(objs, o)
 	}
-	sort.Slice(objs, func(i, j int) bool { return jaccard.LessNatural(objs[i], objs[j]) })
+	sort.Sort(jaccard.NaturalOrder(objs))
 	ld.Objects = len(objs)
 
 	results := make([]*ObjectDivergence, len(objs))

@@ -47,7 +47,7 @@ func NewParallelObserved(attrs map[string]fca.AttrSet, workers int, r *obs.Run) 
 	for n := range attrs {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return LessNatural(names[i], names[j]) })
+	sort.Sort(NaturalOrder(names))
 	m := make([][]float64, len(names))
 	for i := range m {
 		m[i] = make([]float64, len(names))
@@ -81,7 +81,37 @@ func FromLattice(l *fca.Lattice) *JSM {
 // ("6.4" < "10.2", "T2" < "T10"). It is a strict total order: ties on the
 // numeric key fall back to the raw strings.
 func LessNatural(a, b string) bool {
-	pa, pb := naturalKey(a), naturalKey(b)
+	return lessKeyed(naturalKey(a), naturalKey(b), a, b)
+}
+
+// NaturalOrder sorts names into LessNatural order under sort.Sort,
+// building each name's key once rather than twice per comparison.
+func NaturalOrder(names []string) sort.Interface {
+	o := naturalOrder{names: names, keys: make([][]string, len(names))}
+	for i, n := range names {
+		o.keys[i] = naturalKey(n)
+	}
+	return o
+}
+
+type naturalOrder struct {
+	names []string
+	keys  [][]string
+}
+
+func (o naturalOrder) Len() int { return len(o.names) }
+
+func (o naturalOrder) Less(i, j int) bool {
+	return lessKeyed(o.keys[i], o.keys[j], o.names[i], o.names[j])
+}
+
+func (o naturalOrder) Swap(i, j int) {
+	o.names[i], o.names[j] = o.names[j], o.names[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+}
+
+// lessKeyed is LessNatural over precomputed keys.
+func lessKeyed(pa, pb []string, a, b string) bool {
 	for i := 0; i < len(pa) && i < len(pb); i++ {
 		if pa[i] != pb[i] {
 			return pa[i] < pb[i]
@@ -94,7 +124,8 @@ func LessNatural(a, b string) bool {
 }
 
 // naturalKey splits a name into alternating text/number chunks, padding
-// numbers for lexicographic comparison.
+// numbers to 20 digits with leading zeros for lexicographic comparison
+// (longer numbers stay as they are).
 func naturalKey(s string) []string {
 	var parts []string
 	i := 0
@@ -104,7 +135,11 @@ func naturalKey(s string) []string {
 			for j < len(s) && s[j] >= '0' && s[j] <= '9' {
 				j++
 			}
-			parts = append(parts, fmt.Sprintf("%020s", s[i:j]))
+			num := s[i:j]
+			if pad := 20 - len(num); pad > 0 {
+				num = zeros[:pad] + num
+			}
+			parts = append(parts, num)
 		} else {
 			for j < len(s) && (s[j] < '0' || s[j] > '9') {
 				j++
@@ -115,6 +150,8 @@ func naturalKey(s string) []string {
 	}
 	return parts
 }
+
+const zeros = "00000000000000000000"
 
 // Index returns the row index of name, or -1.
 func (j *JSM) Index(name string) int {

@@ -3,6 +3,9 @@ package jaccard
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"difftrace/internal/fca"
@@ -209,5 +212,73 @@ func TestLessNaturalNumericEdges(t *testing.T) {
 			t.Fatalf("duplicate vocab entry %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+// randomNaturalName joins text chunks and digit runs: runs with leading
+// zeros, so "01" and "1" share a numeric key, and runs longer than 20
+// digits, which the key leaves unpadded.
+func randomNaturalName(rng *rand.Rand) string {
+	var b strings.Builder
+	for c := rng.Intn(4); c >= 0; c-- {
+		switch rng.Intn(4) {
+		case 0:
+			b.WriteString([]string{"T", "t", ".", "L", "MPI_", "a"}[rng.Intn(6)])
+		case 1:
+			b.WriteString(strings.Repeat("0", rng.Intn(3)))
+			fallthrough
+		case 2:
+			b.WriteString(fmt.Sprint(rng.Intn(12)))
+		case 3:
+			for d := 19 + rng.Intn(5); d > 0; d-- {
+				b.WriteByte(byte('0' + rng.Intn(10)))
+			}
+		}
+	}
+	return b.String()
+}
+
+// sprintfKey is naturalKey as first written, padding with fmt.
+func sprintfKey(s string) []string {
+	var parts []string
+	for i := 0; i < len(s); {
+		j := i
+		digit := s[i] >= '0' && s[i] <= '9'
+		for j < len(s) && (s[j] >= '0' && s[j] <= '9') == digit {
+			j++
+		}
+		if digit {
+			parts = append(parts, fmt.Sprintf("%020s", s[i:j]))
+		} else {
+			parts = append(parts, s[i:j])
+		}
+		i = j
+	}
+	return parts
+}
+
+// TestNaturalOrderMatchesLessNatural: NaturalOrder sorts random names
+// exactly as sort.Slice with LessNatural does, and naturalKey pads numbers
+// exactly as fmt's %020s does.
+func TestNaturalOrderMatchesLessNatural(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		names := make([]string, rng.Intn(40))
+		for i := range names {
+			names[i] = randomNaturalName(rng)
+			if i > 0 && rng.Intn(8) == 0 {
+				names[i] = names[rng.Intn(i)] // duplicates too
+			}
+			if got, want := naturalKey(names[i]), sprintfKey(names[i]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("naturalKey(%q) = %q, want %q", names[i], got, want)
+			}
+		}
+		want := append([]string(nil), names...)
+		sort.Slice(want, func(i, j int) bool { return LessNatural(want[i], want[j]) })
+		got := append([]string(nil), names...)
+		sort.Sort(NaturalOrder(got))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("NaturalOrder(%q)\n got %q\nwant %q", names, got, want)
+		}
 	}
 }

@@ -34,18 +34,18 @@ type Request struct {
 	Linkage cluster.Method
 	// TopK bounds the suspect lists per row (the paper prints up to 6).
 	TopK int
-	// Workers is the worker budget of each combination's DiffRun (paper
-	// future-work item 1: "optimizing [components] to exploit multi-core
-	// CPUs, reducing the overall analysis time"). Combinations run one
-	// after another, each with the whole budget, so the sweep's peak
-	// memory is one run's; 0 means runtime.GOMAXPROCS(0). Results are
-	// identical for every value.
+	// Workers is the worker budget of each spec's summarization and each
+	// combination's analysis (paper future-work item 1: "optimizing
+	// [components] to exploit multi-core CPUs, reducing the overall
+	// analysis time"). Combinations run one after another, each with the
+	// whole budget; 0 means runtime.GOMAXPROCS(0). Results are identical
+	// for every value.
 	Workers int
 	// Obs, when non-nil, aggregates observability across the whole sweep:
-	// every DiffRun folds its spans and counters into this one run, each
-	// combination gets a "rank/<spec>/<attr>" span, and the sweep loop
-	// records utilization under the "rank.sweep" pool site. Nil disables
-	// instrumentation at zero cost.
+	// every summarization and analysis folds its spans and counters into
+	// this one run, each combination gets a "rank/<spec>/<attr>" span, and
+	// the sweep loop records utilization under the "rank.sweep" pool site.
+	// Nil disables instrumentation at zero cost.
 	Obs *obs.Run
 }
 
@@ -78,66 +78,66 @@ type Table struct {
 	Rows    []Row
 }
 
-// combo is one unit of sweep work.
-type combo struct {
-	spec string
-	flt  *filter.Filter
-	attr attr.Config
-}
-
 // SweepContext runs every (spec × attrs) combination over the two
-// executions, one combination at a time. ctx is observed between
-// combination claims and inside every DiffRun, so a sweep honors a caller
-// deadline. A cancelled sweep returns the wrapped ctx error — never a
-// partial table. A nil ctx is never cancelled.
+// executions. Each spec is summarized once (core.Summarize) and its
+// combinations are analyzed from those summaries one after another, so a
+// row's report is byte-identical to a standalone core.DiffRun of its
+// combination. ctx is observed between combination claims and inside every
+// phase, so a sweep honors a caller deadline. A cancelled sweep returns the
+// wrapped ctx error — never a partial table. A nil ctx is never cancelled.
 func SweepContext(ctx context.Context, normal, faulty *trace.TraceSet, req Request) (*Table, error) {
 	req.defaults()
 	if len(req.Specs) == 0 {
 		return nil, fmt.Errorf("rank: no filter specs given")
 	}
-	var combos []combo
-	for _, spec := range req.Specs {
+	flts := make([]*filter.Filter, len(req.Specs))
+	for i, spec := range req.Specs {
 		flt, err := filter.ParseSpec(spec, req.CustomPatterns...)
 		if err != nil {
 			return nil, err
 		}
-		for _, ac := range req.Attrs {
-			combos = append(combos, combo{spec: spec, flt: flt, attr: ac})
-		}
+		flts[i] = flt
 	}
 
-	rows := make([]Row, len(combos))
-	errs := make([]error, len(combos))
-	req.Obs.Counter("rank.combos").Add(int64(len(combos)))
-	runOne := func(i int) {
-		c := combos[i]
-		sp := req.Obs.StartSpan("rank/" + c.spec + "/" + c.attr.String())
-		defer sp.End()
-		cfg := core.Config{Filter: c.flt, Attr: c.attr, Linkage: req.Linkage, Workers: req.Workers, Obs: req.Obs}
-		rep, err := core.DiffRunContext(ctx, normal, faulty, cfg)
+	req.Obs.Counter("rank.combos").Add(int64(len(flts) * len(req.Attrs)))
+	rows := make([]Row, 0, len(flts)*len(req.Attrs))
+	for i, flt := range flts {
+		spec := req.Specs[i]
+		sum, err := core.Summarize(ctx, normal, faulty, core.Config{Filter: flt, Workers: req.Workers, Obs: req.Obs})
 		if err != nil {
-			errs[i] = fmt.Errorf("rank: %s/%s: %w", c.spec, c.attr, err)
-			return
+			return nil, fmt.Errorf("rank: %s: %w", spec, err)
 		}
-		rows[i] = Row{
-			Spec:         c.spec,
-			Attr:         c.attr,
-			BScore:       rep.Threads.BScore,
-			TopProcesses: rep.Processes.TopSuspects(req.TopK, suspectEps),
-			TopThreads:   rep.Threads.TopSuspects(req.TopK, suspectEps),
-			Report:       rep,
+		specRows := make([]Row, len(req.Attrs))
+		errs := make([]error, len(req.Attrs))
+		runOne := func(j int) {
+			ac := req.Attrs[j]
+			sp := req.Obs.StartSpan("rank/" + spec + "/" + ac.String())
+			defer sp.End()
+			rep, err := sum.Analyze(ctx, ac, req.Linkage)
+			if err != nil {
+				errs[j] = fmt.Errorf("rank: %s/%s: %w", spec, ac, err)
+				return
+			}
+			specRows[j] = Row{
+				Spec:         spec,
+				Attr:         ac,
+				BScore:       rep.Threads.BScore,
+				TopProcesses: rep.Processes.TopSuspects(req.TopK, suspectEps),
+				TopThreads:   rep.Threads.TopSuspects(req.TopK, suspectEps),
+				Report:       rep,
+			}
 		}
-	}
-
-	// One worker: the pool loop still records the rank.sweep site and
-	// checks ctx between combinations.
-	if err := pool.Do(ctx, req.Obs, "rank.sweep", 1, len(combos), runOne); err != nil {
-		return nil, fmt.Errorf("rank: sweep cancelled: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		// One worker: the pool loop still records the rank.sweep site and
+		// checks ctx between combinations.
+		if err := pool.Do(ctx, req.Obs, "rank.sweep", 1, len(req.Attrs), runOne); err != nil {
+			return nil, fmt.Errorf("rank: sweep cancelled: %w", err)
 		}
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		rows = append(rows, specRows...)
 	}
 	tbl := &Table{Linkage: req.Linkage, Rows: rows}
 	sort.SliceStable(tbl.Rows, func(i, j int) bool { return tbl.Rows[i].BScore < tbl.Rows[j].BScore })

@@ -1,15 +1,20 @@
 package rank
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"testing"
 
 	"difftrace/internal/apps/ilcs"
+	"difftrace/internal/apps/lulesh"
 	"difftrace/internal/apps/oddeven"
 	"difftrace/internal/attr"
 	"difftrace/internal/cluster"
+	"difftrace/internal/core"
 	"difftrace/internal/faults"
+	"difftrace/internal/filter"
+	"difftrace/internal/obs"
 	"difftrace/internal/parlot"
 	"difftrace/internal/trace"
 )
@@ -188,5 +193,101 @@ func TestParallelSweepPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected parse error")
+	}
+}
+
+// luleshSets runs LULESH 8×4 normally and with LagrangeLeapFrog skipped on
+// rank 5.
+func luleshSets(t *testing.T) (*trace.TraceSet, *trace.TraceSet) {
+	t.Helper()
+	reg := trace.NewRegistry()
+	run := func(p *faults.Plan) *trace.TraceSet {
+		tr := parlot.NewTracerWith(parlot.MainImage, reg)
+		if _, err := lulesh.Run(lulesh.Config{
+			Procs: 8, Threads: 4, EdgeElems: 2, Regions: 11, Cycles: 1, Plan: p, Tracer: tr,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Collect()
+	}
+	return run(nil), run(faults.NewPlan(faults.Fault{
+		Kind: faults.SkipFunction, Process: 5, Thread: -1, Target: "LagrangeLeapFrog",
+	}))
+}
+
+// TestSweepRowsMatchStandaloneDeterminism: summarizing once per spec changes
+// nothing a sweep reports. Every row's rendered report (diffNLRs and B_k
+// curve included) is byte-identical to a standalone DiffRun of its
+// combination at one worker and at eight, and the sweep's manifest counts
+// each spec's NLR rounds once, as many as a standalone run of that spec.
+func TestSweepRowsMatchStandaloneDeterminism(t *testing.T) {
+	oeNormal, oeFaulty := oddEvenSets(t, faults.NewPlan(faults.Fault{
+		Kind: faults.SwapSendRecv, Process: 5, Thread: -1, AfterIteration: 7,
+	}))
+	luNormal, luFaulty := luleshSets(t)
+	pairs := []struct {
+		name           string
+		specs          []string
+		normal, faulty *trace.TraceSet
+	}{
+		{"oddeven swapBug", []string{"11.mpiall.0K10", "11.mpisr.0K10"}, oeNormal, oeFaulty},
+		{"lulesh skipLeapFrog", []string{"11.1K10", "01.1K10"}, luNormal, luFaulty},
+	}
+	render := func(rep *core.Report) string {
+		var b bytes.Buffer
+		if err := rep.WriteReport(&b, core.RenderOptions{TopK: 6, Heatmaps: true, Dendrograms: true}); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, p := range pairs {
+		for _, workers := range []int{1, 8} {
+			run := obs.NewRun("sweep")
+			tbl, err := SweepContext(nil, p.normal, p.faulty, Request{
+				Specs: p.specs, Linkage: cluster.Ward, Workers: workers, Obs: run,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.Rows) != len(p.specs)*6 {
+				t.Fatalf("%s: %d rows, want %d", p.name, len(tbl.Rows), len(p.specs)*6)
+			}
+			var rounds int64
+			for _, spec := range p.specs {
+				flt, err := filter.ParseSpec(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, ac := range attr.AllConfigs() {
+					cfg := core.Config{Filter: flt, Attr: ac, Linkage: cluster.Ward, Workers: workers}
+					if i == 0 {
+						cfg.Obs = obs.NewRun("standalone")
+					}
+					rep, err := core.DiffRunContext(nil, p.normal, p.faulty, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						rounds += cfg.Obs.Counter("nlr.rounds").Value()
+					}
+					var row *Row
+					for j := range tbl.Rows {
+						if tbl.Rows[j].Spec == spec && tbl.Rows[j].Attr == ac {
+							row = &tbl.Rows[j]
+						}
+					}
+					if row == nil {
+						t.Fatalf("%s: no row for %s/%s", p.name, spec, ac)
+					}
+					if got, want := render(row.Report), render(rep); got != want {
+						t.Errorf("%s, workers %d, %s/%s: sweep row differs from a standalone run\n--- sweep ---\n%s\n--- standalone ---\n%s",
+							p.name, workers, spec, ac, got, want)
+					}
+				}
+			}
+			if got := run.Counter("nlr.rounds").Value(); got != rounds || rounds == 0 {
+				t.Errorf("%s, workers %d: sweep ran %d NLR rounds, standalone per-spec runs %d", p.name, workers, got, rounds)
+			}
+		}
 	}
 }
