@@ -63,13 +63,15 @@ profile:
 	@echo "profiles/: cpu.pprof (inspect with '$(GO) tool pprof profiles/difftrace.test profiles/cpu.pprof'), manifest.json"
 
 # Short live fuzzing session over the trace readers, the equivalence
-# targets (streaming reader vs batch reader, NLR summarizer vs its frozen
-# string-keyed reference), and the divergence alignment walk.
+# targets (streaming reader vs batch reader, NLR summarizer and its
+# overlay rounds vs the frozen string-keyed reference), and the divergence
+# alignment walk.
 fuzz:
 	$(GO) test -fuzz=FuzzReadSetText -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzReadSetBinary -fuzztime=30s ./internal/parlot
 	$(GO) test -fuzz=FuzzStreamReader -fuzztime=30s ./internal/parlot
 	$(GO) test -fuzz=FuzzSummarizeReference -fuzztime=30s ./internal/nlr/reftest
+	$(GO) test -fuzz=FuzzOverlayRounds -fuzztime=30s ./internal/nlr/reftest
 	$(GO) test -fuzz=FuzzFindDivergence -fuzztime=30s ./internal/diffnlr
 
 # Streaming memory-ceiling proof: a 24M-event pair whose expansion is >=20x

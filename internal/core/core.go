@@ -144,9 +144,9 @@ func fireStage(stage, object string) {
 }
 
 // maxRounds caps the NLR fixpoint iteration (see summarizeAll). Real
-// workloads converge in two rounds — the same cost as the historical
-// seed+extract double pass; the cap only guards against pathological
-// parse oscillation.
+// workloads converge in two rounds: one that reads every event and one
+// that only finalizes the saved stacks again. The cap only guards against
+// pathological parse oscillation.
 const maxRounds = 4
 
 // sideRun is one execution side of one level, as summarized.
@@ -282,11 +282,33 @@ type Summaries struct {
 // each level, and runs the NLR rounds. cfg.Attr and cfg.Linkage are not
 // read; Analyze supplies them. ctx is honoured as in DiffRunContext.
 //
-// Every summarization round replays each source and filters its events as
-// they are read, so a compressed source is never expanded: peak memory is
-// bounded by the compressed traces plus the summarized forms. The result
-// depends only on the events, never on which kind of Source carried them.
+// Summarization reads each source once per level, filtering events as they
+// are read, so a compressed source is never expanded: the NLR rounds after
+// the first finalize each object's saved stack again instead of replaying
+// its events, and peak memory is bounded by the compressed traces plus the
+// summarized forms. The result depends only on the events, never on which
+// kind of Source carried them.
 func Summarize(ctx context.Context, normal, faulty Source, cfg Config) (*Summaries, error) {
+	s := enterLevels(normal, faulty, cfg)
+	run := s.cfg.Obs
+
+	// NLR over every (level, side, object) of the live levels, in
+	// parallel, against a shared deterministic loop table.
+	obs.ProgressFrom(ctx).SetStage("summarize")
+	spSum := run.StartSpan("summarize")
+	if err := summarizeAll(ctx, s.levels, s.cfg, s.table); err != nil {
+		return nil, err
+	}
+	spSum.End()
+	run.Counter("nlr.table.bodies").Add(int64(s.table.Len()))
+	return s, nil
+}
+
+// enterLevels is Summarize up to the NLR rounds: it lists both sides'
+// objects under the filter's keep decisions and vocabulary, and enters
+// each level. The returned Summaries has an empty loop table and no NLR
+// sequences yet.
+func enterLevels(normal, faulty Source, cfg Config) *Summaries {
 	if cfg.Filter == nil {
 		cfg.Filter = filter.Everything()
 	}
@@ -322,17 +344,7 @@ func Summarize(ctx context.Context, normal, faulty Source, cfg Config) (*Summari
 			lv.dead, lv.err = true, serr
 		}
 	}
-
-	// NLR over every (level, side, object) of the live levels, in
-	// parallel, against a shared deterministic loop table.
-	obs.ProgressFrom(ctx).SetStage("summarize")
-	spSum := run.StartSpan("summarize")
-	if err := summarizeAll(ctx, levels, cfg, table); err != nil {
-		return nil, err
-	}
-	spSum.End()
-	run.Counter("nlr.table.bodies").Add(int64(table.Len()))
-	return &Summaries{cfg: cfg, table: table, levels: levels}, nil
+	return &Summaries{cfg: cfg, table: table, levels: levels}
 }
 
 // Analyze is a DiffRun's second phase for one attribute config and linkage
@@ -492,6 +504,15 @@ type nlrItem struct {
 // other (the cross-trace heuristic nlr.SummarizeSet's two passes provide,
 // iterated to a fixpoint and symmetric across the normal/faulty sides).
 //
+// Only round 0 reads the events. It keeps each object's stack as the last
+// push left it, and the round-0 barrier renames that stack's loops to their
+// canonical IDs with the overlay's Absorb remap. Pushing the events again
+// against the grown table would rebuild exactly that stack, since every
+// body on it is now in the table, so a later round restores the stack and
+// only finalizes it: O(summary) per object instead of O(events). A later
+// round's remap covers only IDs at or above that round's horizon, which a
+// canonical saved stack never holds. The stacks die with this call.
+//
 // With Workers <= 1 the same rounds run inline on one goroutine; since the
 // absorb order never depends on scheduling, the resulting table and element
 // sequences are identical for every worker count.
@@ -509,6 +530,7 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 	}
 	w := cfg.workers()
 	run := cfg.Obs
+	stacks := make([]*nlr.Stack, len(items))
 	prevLen := -1
 	for round := 0; round < maxRounds && table.Len() != prevLen; round++ {
 		if ctx != nil && ctx.Err() != nil {
@@ -531,7 +553,11 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 			work := func() {
 				fireStage(stage, o.name)
 				ov := nlr.NewOverlay(table)
-				elems[i] = o.summarize(ctx, cfg.Filter.K, ov)
+				if round == 0 {
+					elems[i], stacks[i] = o.summarize(ctx, cfg.Filter.K, ov)
+				} else {
+					elems[i] = refinalize(stacks[i], ov)
+				}
 				overlays[i] = ov
 			}
 			if !cfg.Resilient {
@@ -563,6 +589,9 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 			}
 			remap := table.Absorb(overlays[i])
 			it.side.elems[it.idx] = nlr.RemapElements(elems[i], remap)
+			if round == 0 {
+				stacks[i].Remap(remap)
+			}
 		}
 	}
 	return nil
@@ -820,20 +849,33 @@ func (o object) forEachEvent(ctx context.Context, yield func(fn uint32, kind tra
 
 // summarize runs NLR over the object's filtered events: the same
 // tokenization as nlr.SummarizeTrace (exits surviving the filter render as
-// "ret:<name>").
-func (o object) summarize(ctx context.Context, k int, table *nlr.Table) []nlr.Element {
+// "ret:<name>"). It returns the summarized sequence and the stack as the
+// last push left it, for refinalize.
+func (o object) summarize(ctx context.Context, k int, table *nlr.Table) ([]nlr.Element, *nlr.Stack) {
 	s := summarizers.Get().(*nlr.Summarizer)
 	defer summarizers.Put(s)
 	s.Reset(k, table)
 	o.forEachEvent(ctx, func(fn uint32, kind trace.EventKind) {
 		s.PushToken(o.voc.Token(fn, kind))
 	})
+	saved := s.Save()
+	s.Finalize()
+	return s.Elements(), saved
+}
+
+// refinalize is summarize against table without reading the events again:
+// it finalizes the stack summarize saved, whose loop IDs must already be
+// table's.
+func refinalize(saved *nlr.Stack, table *nlr.Table) []nlr.Element {
+	s := summarizers.Get().(*nlr.Summarizer)
+	defer summarizers.Put(s)
+	s.Restore(saved, table)
 	s.Finalize()
 	return s.Elements()
 }
 
 // summarizers recycles Summarizer buffers across objects and rounds;
-// Elements hands out copies, so nothing returned aliases them.
+// Elements and Save hand out copies, so nothing returned aliases them.
 var summarizers = sync.Pool{New: func() any { return new(nlr.Summarizer) }}
 
 // extractContext mines caller→callee attributes from the object's raw

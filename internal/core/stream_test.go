@@ -348,7 +348,8 @@ func TestStreamManifestWorkersInvariant(t *testing.T) {
 
 // TestProgressCountsEventsRead: live progress counts every event a run
 // reads, before the filter, so a materialized and a compressed source of
-// the same bytes advance it by the same amount.
+// the same bytes advance it by the same amount. A level reads each event
+// once, however many NLR rounds it runs.
 func TestProgressCountsEventsRead(t *testing.T) {
 	reg := trace.NewRegistry()
 	nset, fset := collect(t, 8, reg, nil), collect(t, 8, reg, swapPlan())
@@ -366,8 +367,13 @@ func TestProgressCountsEventsRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := obs.NewProgress()
-		if _, err := DiffRunContext(obs.WithProgress(context.Background(), p), normal, faulty, DefaultConfig()); err != nil {
+		cfg := DefaultConfig()
+		cfg.Obs = obs.NewRun("test")
+		if _, err := DiffRunContext(obs.WithProgress(context.Background(), p), normal, faulty, cfg); err != nil {
 			t.Fatal(err)
+		}
+		if rounds := cfg.Obs.Manifest().Counters["nlr.rounds"]; rounds < 2 {
+			t.Fatalf("manifest shows %d nlr.rounds; the count needs a run with a later round", rounds)
 		}
 		return p.Snapshot().Events
 	}
@@ -382,8 +388,8 @@ func TestProgressCountsEventsRead(t *testing.T) {
 		t.Fatalf("progress events: materialized %d, compressed %d", batch, stream)
 	}
 	// DefaultConfig keeps only MPI calls, yet both levels read every event
-	// of both sides at least once.
-	if read := int64(2 * (nset.TotalEvents() + fset.TotalEvents())); batch < read {
-		t.Fatalf("progress counted %d events, want at least the %d read", batch, read)
+	// of both sides, once.
+	if read := int64(2 * (nset.TotalEvents() + fset.TotalEvents())); batch != read {
+		t.Fatalf("progress counted %d events, want the %d the two levels read", batch, read)
 	}
 }

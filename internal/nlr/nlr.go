@@ -278,17 +278,21 @@ func RemapElements(elems []Element, remap map[int]int) []Element {
 			out[i] = e
 			continue
 		}
-		id := e.Loop.ID
-		if nid, ok := remap[id]; ok {
-			id = nid
-		}
 		out[i] = Element{Loop: &Loop{
 			Body:  RemapElements(e.Loop.Body, remap),
 			Count: e.Loop.Count,
-			ID:    id,
+			ID:    remapID(e.Loop.ID, remap),
 		}}
 	}
 	return out
+}
+
+// remapID is id under remap.
+func remapID(id int, remap map[int]int) int {
+	if nid, ok := remap[id]; ok {
+		return nid
+	}
+	return id
 }
 
 // Describe renders the loop body for id like "[MPI_Send MPI_Recv]",
@@ -610,6 +614,89 @@ func (s *Summarizer) Elements() []Element {
 	return out
 }
 
+// Stack is a Summarizer's stack saved between the last push and Finalize
+// (Save), to be finalized again later against a grown loop table (Restore)
+// without replaying the pushes. That is sound because pushes decide every
+// fold and extension by key equality and use the table only to number
+// bodies: pushing the same stream again against a table that holds the
+// stack's bodies rebuilds this stack, under the same IDs. Only Finalize's
+// known-body rule reads what the table holds. A Stack is bounded by the
+// summarized form, not by the stream.
+type Stack struct {
+	k       int
+	entries []saved
+}
+
+// saved is one element of a Stack: a symbol, its token in n, or a loop,
+// its count in n. The keys Restore pushes are built from these.
+type saved struct {
+	sym  string
+	loop *folded
+	n    int
+}
+
+// Save returns a copy of the stack as the pushes left it. Call it after the
+// last push and before Finalize.
+func (s *Summarizer) Save() *Stack {
+	st := &Stack{k: s.K, entries: make([]saved, len(s.slots))}
+	for j, sl := range s.slots {
+		n := s.keys[j].n
+		if sl.loop == nil {
+			n = s.keys[j].id
+		}
+		st.entries[j] = saved{sym: sl.sym, loop: sl.loop, n: n}
+	}
+	return st
+}
+
+// Remap rewrites the stack's loop IDs by an Absorb remap, in place, as
+// RemapElements rewrites elements: once Absorb has renamed the overlay the
+// stack was pushed against, the stack matches what pushes against the
+// absorbing table would build. Loops are rebuilt, never mutated, so
+// sequences handed out by Elements, bodies held by tables and other stacks
+// keep their IDs.
+func (st *Stack) Remap(remap map[int]int) {
+	if len(remap) == 0 {
+		return
+	}
+	rebuilt := make(map[*folded]*folded)
+	for j, e := range st.entries {
+		if e.loop == nil {
+			continue
+		}
+		f, ok := rebuilt[e.loop]
+		if !ok {
+			f = &folded{
+				id:   remapID(e.loop.id, remap),
+				body: RemapElements(e.loop.body, remap),
+				keys: slices.Clone(e.loop.keys),
+			}
+			for x, k := range f.keys {
+				if k.id < 0 {
+					f.keys[x].id = ^remapID(^k.id, remap)
+				}
+			}
+			rebuilt[e.loop] = f
+		}
+		st.entries[j].loop = f
+	}
+}
+
+// Restore readies s, as Reset would with st's window constant and table,
+// and lays st's elements on the stack as the pushes left them, so that
+// Finalize and Elements run exactly as they would after those pushes
+// against table. st is only read: it can be restored again.
+func (s *Summarizer) Restore(st *Stack, table *Table) {
+	s.Reset(st.k, table)
+	for _, e := range st.entries {
+		if e.loop == nil {
+			s.push(slot{sym: e.sym}, key{id: e.n})
+		} else {
+			s.push(slot{loop: e.loop}, key{id: ^e.loop.id, n: e.n})
+		}
+	}
+}
+
 // Tokens renders a summarized element sequence as tokens.
 func Tokens(elems []Element) []string {
 	out := make([]string, len(elems))
@@ -678,35 +765,47 @@ func Summarize(tokens []string, k int, table *Table) []Element {
 // be filtered already; any remaining exits are rendered as "ret:<name>"
 // tokens so the abstraction stays lossless).
 func SummarizeTrace(tr *trace.Trace, reg *trace.Registry, k int, table *Table) []Element {
-	return summarizeTrace(tr, NewVocab(reg), k, table)
-}
-
-func summarizeTrace(tr *trace.Trace, v *Vocab, k int, table *Table) []Element {
 	s := NewSummarizer(k, table)
-	for _, e := range tr.Events {
-		s.PushToken(v.Token(e.Func, e.Kind))
-	}
+	pushTrace(s, tr, NewVocab(reg))
 	s.Finalize()
 	return s.Elements()
 }
 
+// pushTrace pushes tr's events as v's tokens.
+func pushTrace(s *Summarizer, tr *trace.Trace, v *Vocab) {
+	for _, e := range tr.Events {
+		s.PushToken(v.Token(e.Func, e.Kind))
+	}
+}
+
 // SummarizeSet summarizes every trace of set in deterministic ID order with
 // two passes: the first pass populates the shared loop table, the second
-// re-summarizes each trace so that loops discovered late (in another trace)
-// still fold in traces processed earlier — this is what lets Table III
-// summarize T0's two iterations as L^2 after T2 revealed the body.
+// finalizes each trace again so that loops discovered late (in another
+// trace) still fold in traces processed earlier — this is what lets Table
+// III summarize T0's two iterations as L^2 after T2 revealed the body.
+// The second pass restores the stack the first saved before Finalize
+// instead of reading the trace again: the table is shared, not overlaid,
+// so pushing the trace again would rebuild that stack under the same IDs.
 // Exits surviving the filter are rendered as "ret:<name>" tokens.
 func SummarizeSet(set *trace.TraceSet, k int, table *Table) map[trace.ThreadID][]Element {
 	if table == nil {
 		table = NewTable()
 	}
 	v := NewVocab(set.Registry)
-	for _, id := range set.IDs() {
-		summarizeTrace(set.Traces[id], v, k, table)
+	ids := set.IDs()
+	s := new(Summarizer)
+	stacks := make([]*Stack, len(ids))
+	for i, id := range ids {
+		s.Reset(k, table)
+		pushTrace(s, set.Traces[id], v)
+		stacks[i] = s.Save()
+		s.Finalize()
 	}
-	out := make(map[trace.ThreadID][]Element, len(set.Traces))
-	for _, id := range set.IDs() {
-		out[id] = summarizeTrace(set.Traces[id], v, k, table)
+	out := make(map[trace.ThreadID][]Element, len(ids))
+	for i, id := range ids {
+		s.Restore(stacks[i], table)
+		s.Finalize()
+		out[id] = s.Elements()
 	}
 	return out
 }

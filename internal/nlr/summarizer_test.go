@@ -1,6 +1,8 @@
 package nlr
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,5 +91,89 @@ func TestVocabTokens(t *testing.T) {
 	}
 	if v.Name(f) != "f" || v.Name(late) != "late" {
 		t.Fatalf("Name: %q, %q", v.Name(f), v.Name(late))
+	}
+}
+
+// saveMidway pushes stream into a summarizer over table and returns the
+// elements before Finalize, the stack saved there, and the finalized
+// elements.
+func saveMidway(stream string, table *Table) (pre []Element, st *Stack, post []Element) {
+	s := NewSummarizer(DefaultK, table)
+	for _, tok := range strings.Fields(stream) {
+		s.Push(tok)
+	}
+	pre = s.Elements()
+	st = s.Save()
+	s.Finalize()
+	return pre, st, s.Elements()
+}
+
+// Restoring a saved stack puts back what the pushes left: Elements gives
+// the pre-Finalize sequence, and Finalize then gives what it gave after
+// the pushes. The stack is only read, so it restores again.
+func TestRestoreGivesPreFinalizeElements(t *testing.T) {
+	tbl := NewTable()
+	Summarize(strings.Fields("a b a b a b"), DefaultK, tbl) // L0 = [a b]
+	pre, st, post := saveMidway("x c c c a b a b y", tbl)
+	if got := strings.Join(Tokens(pre), " "); got != "x L1^3 a b a b y" {
+		t.Fatalf("before Finalize: %q", got)
+	}
+	if got := strings.Join(Tokens(post), " "); got != "x L1^3 L0^2 y" {
+		t.Fatalf("after Finalize: %q", got)
+	}
+	r := NewSummarizer(1, nil) // Restore takes the stack's K, not this one
+	for i := 0; i < 2; i++ {
+		r.Restore(st, tbl)
+		if got := r.Elements(); !reflect.DeepEqual(got, pre) {
+			t.Fatalf("restore %d: Elements = %v, want %v", i, Tokens(got), Tokens(pre))
+		}
+		r.Finalize()
+		if got := r.Elements(); !reflect.DeepEqual(got, post) {
+			t.Fatalf("restore %d: finalized = %v, want %v", i, Tokens(got), Tokens(post))
+		}
+	}
+}
+
+// An empty remap is the identity: the stack keeps every element, loop
+// and ID it had.
+func TestStackEmptyRemapKeepsStack(t *testing.T) {
+	_, st, _ := saveMidway("i a b b b a b b b a b b b c d c d", nil)
+	before := slices.Clone(st.entries)
+	st.Remap(nil)
+	st.Remap(map[int]int{})
+	if !slices.Equal(st.entries, before) {
+		t.Fatal("an empty remap changed the stack")
+	}
+}
+
+// Remapping a stack renames what a restore sees, and never what was handed
+// out before: Elements taken before Save or after Finalize, and the bodies
+// the table holds, keep their IDs at every depth — the snapshot property
+// TestElementsSnapshotUnchangedByLaterPushes pins for pushes.
+func TestStackRemapLeavesHandedOutElements(t *testing.T) {
+	tbl := NewOverlay(NewTable())
+	pre, st, post := saveMidway("i a b b b a b b b a b b b c d c d c d", tbl)
+	if got := strings.Join(Tokens(pre), " "); got != "i L1^3 L2^3" {
+		t.Fatalf("before Finalize: %q", got)
+	}
+	deep := func(elems []Element) []Element { return RemapElements(elems, map[int]int{-1: -1}) }
+	preSnap, postSnap := deep(pre), deep(post)
+	bodies := []string{tbl.Describe(0), tbl.Describe(1), tbl.Describe(2)}
+
+	remap := map[int]int{0: 5, 1: 4, 2: 3}
+	st.Remap(remap)
+
+	if !reflect.DeepEqual(pre, preSnap) || !reflect.DeepEqual(post, postSnap) {
+		t.Fatalf("Remap reached handed-out elements: %v / %v", Tokens(pre), Tokens(post))
+	}
+	for id, want := range bodies {
+		if got := tbl.Describe(id); got != want {
+			t.Fatalf("Remap reached table body L%d: %s, want %s", id, got, want)
+		}
+	}
+	r := NewSummarizer(DefaultK, nil)
+	r.Restore(st, NewTable())
+	if got, want := r.Elements(), RemapElements(pre, remap); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored after Remap: %v, want %v", Tokens(got), Tokens(want))
 	}
 }
