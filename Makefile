@@ -1,9 +1,12 @@
-# Development targets. `make check` is the full gate: gofmt, vet, build,
-# lint, the tests (which replay every checked-in fuzz seed), the race suite,
-# the parallel-determinism differential suite, and the memory ceiling.
+# Development targets. `make check` is the full gate and CI's `check` and
+# `memceiling` jobs run its steps by name: gofmt, vet, build, lint, the tests
+# (which replay every checked-in fuzz seed), the race suite, the
+# parallel-determinism differential suite under two GOMAXPROCS settings, the
+# benchmark module's vet and tests, the benchmark smoke run, every benchmark
+# once, and the memory ceiling.
 GO ?= go
 
-.PHONY: all build gofmt vet lint test race determinism memceiling profile fuzz check
+.PHONY: all build gofmt vet lint test race determinism determinism-procs perfbench smoke benchonce memceiling profile fuzz check
 
 all: build
 
@@ -48,6 +51,36 @@ determinism:
 		./internal/experiments ./internal/resilience/chaos ./internal/service \
 		./internal/diffnlr ./cmd/difftrace .
 
+# The determinism suite away from the host's CPU count: one scheduler
+# thread, and more threads than most hosts have CPUs.
+determinism-procs:
+	GOMAXPROCS=1 $(MAKE) determinism
+	GOMAXPROCS=8 $(MAKE) determinism
+
+# The benchmark module calls internal APIs (filter.Memo, the NLR Summarizer
+# and overlays, SymbolReader, Registry.Name, core.DiffRun*) but sits outside
+# ./..., so no other target builds it: an API change that breaks it would
+# otherwise pass.
+perfbench:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Each benchmark workload once, at the seed whose report digests
+# _perfbench/digest.go records: a change to report bytes fails here rather
+# than only when the benchmark is next run. The last line of a run is the
+# result, the line before it the report.
+smoke:
+	@for w in stream-loopy sweep-lulesh daemon-mix; do \
+		out=$$(bash _perfbench/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 0) || { echo "$$w: run failed"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$$w: result is not correct"; exit 1; }; \
+		echo "$$out" | tail -n 2 | head -n 1 | grep -q '"digest_checked":true' || { echo "$$w: report digest not checked"; exit 1; }; \
+	done
+
+# Every benchmark once: a benchmark that fails or panics would otherwise go
+# unnoticed, since no other target runs them.
+benchonce:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
 # Profile run: CPU-profile the Table IX LULESH ranking sweep benchmark, then
 # drive the CLI over a generated oddeven pair with -manifest and -metrics.
 # Artifacts land in ./profiles/ (pprof profile, test binary for symbolized
@@ -80,4 +113,4 @@ fuzz:
 memceiling:
 	$(GO) test -run 'TestStreamingMemoryCeiling' -count=1 -v -timeout 600s .
 
-check: gofmt vet build lint test race determinism memceiling
+check: gofmt vet build lint test race determinism-procs perfbench smoke benchonce memceiling

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
@@ -35,7 +36,6 @@ import (
 	"difftrace/internal/core"
 	"difftrace/internal/filter"
 	"difftrace/internal/obs"
-	"difftrace/internal/obs/olog"
 	"difftrace/internal/parlot"
 	"difftrace/internal/progress"
 	"difftrace/internal/rank"
@@ -196,20 +196,20 @@ func run(w io.Writer, o options) error {
 	if ctx != nil {
 		ctx = obs.WithTraceID(ctx, tid)
 	}
-	var logger *olog.Logger
+	logger := obs.NewLogger(nil, slog.LevelInfo)
 	if o.logJSON {
-		logger = olog.New(errW, olog.Info).With(
-			olog.Str("component", "difftrace"),
-			olog.Str("trace_id", string(tid)))
+		logger = obs.NewLogger(errW, slog.LevelInfo).With(
+			slog.String("component", "difftrace"),
+			slog.String("trace_id", string(tid)))
 	}
-	logger.Info("run starting",
-		olog.Str("normal", o.normalPath),
-		olog.Str("faulty", o.faultyPath),
-		olog.Str("filter", o.filterSpec),
-		olog.Str("attr", o.attrSpec),
-		olog.Str("linkage", o.linkageName),
-		olog.Bool("lenient", o.lenient),
-		olog.Int("workers", o.workers))
+	logger.LogAttrs(ctx, slog.LevelInfo, "run starting",
+		slog.String("normal", o.normalPath),
+		slog.String("faulty", o.faultyPath),
+		slog.String("filter", o.filterSpec),
+		slog.String("attr", o.attrSpec),
+		slog.String("linkage", o.linkageName),
+		slog.Bool("lenient", o.lenient),
+		slog.Int("workers", o.workers))
 	// The obs run exists only when some output will consume it; a nil run
 	// keeps every instrumented layer on its zero-cost fast path.
 	var obsRun *obs.Run
@@ -240,7 +240,7 @@ func run(w io.Writer, o options) error {
 	// Manifest/metrics emission runs on every exit path — a strict read
 	// failure or degraded analysis still leaves its observability record
 	// (the readers count bytes/lines even on the error path).
-	defer logger.Info("run finished")
+	defer logger.LogAttrs(ctx, slog.LevelInfo, "run finished")
 	defer func() {
 		if obsRun == nil {
 			return

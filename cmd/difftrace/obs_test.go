@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"difftrace/internal/obs"
 )
@@ -176,5 +177,56 @@ func TestManifestSweep(t *testing.T) {
 	}
 	if !hasSite {
 		t.Errorf("pool sites = %+v, want rank.sweep", m.Pool)
+	}
+}
+
+// TestLogJSONLines: with -log-json, stderr holds only JSON lines, each
+// valid UTF-8 with ts, level, msg, the component and the -trace-id value,
+// from "run starting" to "run finished". A -normal path that is not valid
+// UTF-8 (here one that fails to open) still gives valid lines.
+func TestLogJSONLines(t *testing.T) {
+	normal, faulty := writePair(t)
+	const tid = "feedfacecafebeef"
+	for _, tc := range []struct {
+		name, normal string
+		wantErr      bool
+	}{
+		{"run", normal, false},
+		{"invalid-utf8-path", filepath.Join(t.TempDir(), "n\xff.trace"), true},
+	} {
+		var errBuf bytes.Buffer
+		err := run(io.Discard, options{
+			normalPath: tc.normal, faultyPath: faulty,
+			filterSpec: "11.mpiall.0K10", attrSpec: "sing.noFreq", linkageName: "ward",
+			top: 6, logJSON: true, traceID: tid, errW: &errBuf,
+		})
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		var lines []map[string]any
+		for _, raw := range strings.Split(strings.TrimSuffix(errBuf.String(), "\n"), "\n") {
+			if !utf8.ValidString(raw) {
+				t.Errorf("%s: line is not valid UTF-8: %q", tc.name, raw)
+			}
+			var m map[string]any
+			if err := json.Unmarshal([]byte(raw), &m); err != nil {
+				t.Fatalf("%s: line is not JSON: %v\n%s", tc.name, err, raw)
+			}
+			for _, k := range []string{"ts", "level", "msg"} {
+				if _, ok := m[k]; !ok {
+					t.Errorf("%s: line lacks %q: %s", tc.name, k, raw)
+				}
+			}
+			if m["component"] != "difftrace" || m["trace_id"] != tid {
+				t.Errorf("%s: line lacks component or trace ID: %s", tc.name, raw)
+			}
+			lines = append(lines, m)
+		}
+		if len(lines) < 2 || lines[0]["msg"] != "run starting" || lines[len(lines)-1]["msg"] != "run finished" {
+			t.Fatalf("%s: lines do not run from start to finish:\n%s", tc.name, errBuf.String())
+		}
+		if got, want := lines[0]["normal"], strings.ToValidUTF8(tc.normal, "\ufffd"); got != want {
+			t.Errorf("%s: normal = %q, want %q", tc.name, got, want)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -37,62 +38,68 @@ import (
 	"time"
 
 	"difftrace/internal/obs"
-	"difftrace/internal/obs/olog"
 	"difftrace/internal/obs/telemetry"
 	"difftrace/internal/service"
 )
 
 func main() {
+	var cfg service.Config
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address")
-	storeDir := flag.String("store", "difftraced-store", "artifact store directory")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "per-job pipeline worker budget (results do not depend on this)")
-	concurrency := flag.Int("concurrency", service.DefaultConcurrency, "jobs run at once")
-	queueDepth := flag.Int("queue", service.DefaultQueueDepth, "bounded admission queue depth (full → 429)")
-	maxAttempts := flag.Int("max-attempts", service.DefaultMaxAttempts, "tries per job, counting the first")
-	jobTimeout := flag.Duration("job-timeout", service.DefaultJobTimeout, "per-attempt job deadline")
+	flag.StringVar(&cfg.StoreDir, "store", "difftraced-store", "artifact store directory")
+	flag.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "per-job pipeline worker budget (results do not depend on this)")
+	flag.IntVar(&cfg.Concurrency, "concurrency", service.DefaultConcurrency, "jobs run at once")
+	flag.IntVar(&cfg.QueueDepth, "queue", service.DefaultQueueDepth, "bounded admission queue depth (full → 429)")
+	flag.IntVar(&cfg.MaxAttempts, "max-attempts", service.DefaultMaxAttempts, "tries per job, counting the first")
+	flag.DurationVar(&cfg.JobTimeout, "job-timeout", service.DefaultJobTimeout, "per-attempt job deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
-	holdJob := flag.Duration("hold-job", 0, "fault injection: hold every job this long before analysis (e2e tests land signals mid-job with it)")
+	flag.DurationVar(&cfg.Hooks.HoldJob, "hold-job", 0, "fault injection: hold every job this long before analysis (e2e tests land signals mid-job with it)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: info, warn, error")
-	flightSize := flag.Int("flight-size", telemetry.DefaultFlightSize, "flight recorder ring size (last N completed jobs)")
+	flag.IntVar(&cfg.FlightSize, "flight-size", telemetry.DefaultFlightSize, "flight recorder ring size (last N completed jobs)")
 	flag.Parse()
 
-	lvl, ok := olog.ParseLevel(*logLevel)
+	lvl, ok := parseLevel(*logLevel)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "difftraced: unknown -log-level %q\n", *logLevel)
 		os.Exit(2)
 	}
-	logger := olog.New(os.Stderr, lvl).With(olog.Str("component", "difftraced"))
+	cfg.Log = obs.NewLogger(os.Stderr, lvl).With(slog.String("component", "difftraced"))
+	cfg.Obs = obs.NewRun("difftraced")
 
-	if err := run(*addr, *storeDir, *workers, *concurrency, *queueDepth, *maxAttempts, *jobTimeout, *drainTimeout, *holdJob, *flightSize, logger); err != nil {
-		logger.Error("fatal", olog.Err(err))
+	if err := run(*addr, *drainTimeout, cfg); err != nil {
+		cfg.Log.LogAttrs(context.Background(), slog.LevelError, "fatal", slog.Any("err", err))
 		os.Exit(1)
 	}
 }
 
-func run(addr, storeDir string, workers, concurrency, queueDepth, maxAttempts int, jobTimeout, drainTimeout, holdJob time.Duration, flightSize int, logger *olog.Logger) error {
+// parseLevel maps a -log-level value to its slog level; only info, warn
+// and error are accepted.
+func parseLevel(s string) (slog.Level, bool) {
+	switch s {
+	case "info":
+		return slog.LevelInfo, true
+	case "warn":
+		return slog.LevelWarn, true
+	case "error":
+		return slog.LevelError, true
+	}
+	return 0, false
+}
+
+func run(addr string, drainTimeout time.Duration, cfg service.Config) error {
 	// The service outlives any single request: its job context is the
-	// process context, cancelled only by shutdown.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	// process context, cancelled only by shutdown. The service, the drain
+	// and the log lines take bg, which the signal does not cancel.
+	bg := context.Background()
+	ctx, stop := signal.NotifyContext(bg, syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	obsRun := obs.NewRun("difftraced")
-	svc, recovery, err := service.New(context.Background(), service.Config{
-		StoreDir:    storeDir,
-		Workers:     workers,
-		Concurrency: concurrency,
-		QueueDepth:  queueDepth,
-		MaxAttempts: maxAttempts,
-		JobTimeout:  jobTimeout,
-		Obs:         obsRun,
-		Log:         logger,
-		FlightSize:  flightSize,
-		Hooks:       service.Hooks{HoldJob: holdJob},
-	})
+	logger := cfg.Log
+	svc, recovery, err := service.New(bg, cfg)
 	if err != nil {
 		return err
 	}
 	if !recovery.Clean() {
-		logger.Warn("store recovery was not clean", olog.Str("summary", recovery.Summary()))
+		logger.LogAttrs(bg, slog.LevelWarn, "store recovery was not clean", slog.String("summary", recovery.Summary()))
 	}
 
 	ln, err := net.Listen("tcp", addr)
@@ -105,22 +112,22 @@ func run(addr, storeDir string, workers, concurrency, queueDepth, maxAttempts in
 	go func() { errCh <- srv.Serve(ln) }()
 	// Readiness line on stdout: tests and orchestrators parse the bound
 	// address (the port may have been chosen by the kernel via :0).
-	fmt.Printf("difftraced: listening on %s (store %s)\n", ln.Addr(), storeDir)
-	logger.Info("listening", olog.Str("addr", ln.Addr().String()), olog.Str("store", storeDir))
+	fmt.Printf("difftraced: listening on %s (store %s)\n", ln.Addr(), cfg.StoreDir)
+	logger.LogAttrs(bg, slog.LevelInfo, "listening", slog.String("addr", ln.Addr().String()), slog.String("store", cfg.StoreDir))
 
 	<-ctx.Done()
-	logger.Info("shutdown signal received; draining", olog.Int64("drain_timeout_ms", drainTimeout.Milliseconds()))
+	logger.LogAttrs(bg, slog.LevelInfo, "shutdown signal received; draining", slog.Int64("drain_timeout_ms", drainTimeout.Milliseconds()))
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	drainCtx, cancel := context.WithTimeout(bg, drainTimeout)
 	defer cancel()
 	persisted, stopErr := svc.Stop(drainCtx)
 	if stopErr != nil {
-		logger.Error("drain failed", olog.Err(stopErr))
+		logger.LogAttrs(bg, slog.LevelError, "drain failed", slog.Any("err", stopErr))
 	}
 	if persisted > 0 {
-		logger.Info("unfinished jobs persisted to queue.sidecar", olog.Int("jobs", persisted))
+		logger.LogAttrs(bg, slog.LevelInfo, "unfinished jobs persisted to queue.sidecar", slog.Int("jobs", persisted))
 	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+	shutCtx, cancel2 := context.WithTimeout(bg, 5*time.Second)
 	defer cancel2()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		srv.Close()
@@ -128,6 +135,6 @@ func run(addr, storeDir string, workers, concurrency, queueDepth, maxAttempts in
 	if serveErr := <-errCh; serveErr != nil && serveErr != http.ErrServerClosed {
 		return serveErr
 	}
-	logger.Info("exit clean")
+	logger.LogAttrs(bg, slog.LevelInfo, "exit clean")
 	return stopErr
 }

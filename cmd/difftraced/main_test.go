@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/exec"
@@ -440,4 +442,30 @@ func TestDaemonHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("/metrics = %d", m.StatusCode)
 	}
 	d.sigterm(t)
+}
+
+// TestParseLogLevel: -log-level accepts exactly info, warn and error, and
+// the daemon exits 2 on anything else before it binds a port.
+func TestParseLogLevel(t *testing.T) {
+	for s, want := range map[string]slog.Level{"info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError} {
+		if got, ok := parseLevel(s); !ok || got != want {
+			t.Errorf("parseLevel(%q) = %v, %v", s, got, ok)
+		}
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"debug", "bogus", "INFO"} {
+		if _, ok := parseLevel(bad); ok {
+			t.Errorf("parseLevel accepted %q", bad)
+		}
+		cmd := exec.Command(exe, "-addr", "127.0.0.1:0", "-store", t.TempDir(), "-log-level", bad)
+		cmd.Env = append(os.Environ(), "DIFFTRACED_E2E_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("-log-level %s: err %v, want exit 2; output:\n%s", bad, err, out)
+		}
+	}
 }

@@ -43,9 +43,11 @@ func main() {
 	for _, id := range set.IDs() {
 		fmt.Printf("T%d: %s\n", id.Process, strings.Join(nlr.Tokens(sums[id]), "  "))
 	}
-	for i := 0; i < tbl.Len(); i++ {
-		fmt.Printf("L%d = %s\n", i, tbl.Describe(i))
+	all := make([]int, tbl.Len())
+	for i := range all {
+		all[i] = i
 	}
+	fmt.Print(tbl.Legend(all))
 
 	fmt.Println("\n== Table IV: formal context ==")
 	ac := attr.Config{Kind: attr.Single, Freq: attr.NoFreq}

@@ -511,7 +511,8 @@ type nlrItem struct {
 // body on it is now in the table, so a later round restores the stack and
 // only finalizes it: O(summary) per object instead of O(events). A later
 // round's remap covers only IDs at or above that round's horizon, which a
-// canonical saved stack never holds. The stacks die with this call.
+// canonical saved stack never holds. The stacks die with this call, and
+// only the last round's sequences are remapped and land.
 //
 // With Workers <= 1 the same rounds run inline on one goroutine; since the
 // absorb order never depends on scheduling, the resulting table and element
@@ -531,6 +532,10 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 	w := cfg.workers()
 	run := cfg.Obs
 	stacks := make([]*nlr.Stack, len(items))
+	// Each item's sequence from the last round it ran, and that round's
+	// Absorb remap to canonical IDs. Only the last round lands.
+	elems := make([][]nlr.Element, len(items))
+	remaps := make([]map[int]int, len(items))
 	prevLen := -1
 	for round := 0; round < maxRounds && table.Len() != prevLen; round++ {
 		if ctx != nil && ctx.Err() != nil {
@@ -539,7 +544,6 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 		prevLen = table.Len()
 		run.Counter("nlr.rounds").Add(1)
 		overlays := make([]*nlr.Table, len(items))
-		elems := make([][]nlr.Element, len(items))
 		roundErrs := make([]*resilience.StageError, len(items))
 		poolErr := pool.Do(ctx, run, "core.summarize", w, len(items), func(i int) {
 			it := items[i]
@@ -576,22 +580,27 @@ func summarizeAll(ctx context.Context, levels []*levelRun, cfg Config, table *nl
 			// absorbed — a ctx abort leaves no half-merged table behind.
 			return fmt.Errorf("core: summarize: %w", poolErr)
 		}
-		// Barrier: merge discoveries in canonical order and land the
-		// round's sequences (remapped to the canonical IDs).
+		// Barrier: merge discoveries in canonical order.
 		for i, it := range items {
 			if roundErrs[i] != nil {
 				it.side.nlrErrs[it.idx] = roundErrs[i]
-				it.side.elems[it.idx] = nil
 				continue
 			}
 			if overlays[i] == nil {
 				continue
 			}
-			remap := table.Absorb(overlays[i])
-			it.side.elems[it.idx] = nlr.RemapElements(elems[i], remap)
+			remaps[i] = table.Absorb(overlays[i])
 			if round == 0 {
-				stacks[i].Remap(remap)
+				stacks[i].Remap(remaps[i])
 			}
+		}
+	}
+	// Land each surviving object's last-round sequence, remapped to the
+	// canonical IDs. A round that grew the table is always followed by one
+	// that finalizes again, so earlier rounds' sequences never land.
+	for i, it := range items {
+		if it.side.nlrErrs[it.idx] == nil {
+			it.side.elems[it.idx] = nlr.RemapElements(elems[i], remaps[i])
 		}
 	}
 	return nil
@@ -933,5 +942,5 @@ func (r *Report) DiffNLR(level *Level, name string) (*diffnlr.DiffNLR, error) {
 	if err != nil {
 		id = trace.TID(0, 0)
 	}
-	return diffnlr.Compute(id, nlr.Tokens(n), nlr.Tokens(f), r.LoopTable), nil
+	return diffnlr.Compute(id, n, f, r.LoopTable), nil
 }

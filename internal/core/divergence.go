@@ -18,10 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
-	"strconv"
-	"strings"
 
 	"difftrace/internal/diffnlr"
 	"difftrace/internal/jaccard"
@@ -216,8 +213,6 @@ func (ld *LevelDivergence) consensus() {
 	ld.ConsensusFunc, ld.ConsensusKind, ld.ConsensusCount = best.fn, best.kind, counts[best]
 }
 
-var divLoopTokRE = regexp.MustCompile(`^L(\d+)\^\d+$`)
-
 // Render writes the human-readable divergence explorer table: a
 // "degraded:" line per object the pass skipped, then per level a row per
 // diverging object (kind, headline function, token and proven-equal event
@@ -278,39 +273,17 @@ func headCol(it *ObjectDivergence) string {
 	return n + "|" + f
 }
 
-// legend resolves loop tokens mentioned in the level's rows through the
-// run's loop table, like diffNLR's legend.
+// legend resolves the loops the level's rows show through the run's loop
+// table, like diffNLR's legend.
 func (d *DivergenceReport) legend(ld *LevelDivergence) string {
 	if d.table == nil {
 		return ""
 	}
-	ids := map[int]bool{}
-	collect := func(tok string) {
-		if m := divLoopTokRE.FindStringSubmatch(tok); m != nil {
-			id, _ := strconv.Atoi(m[1])
-			ids[id] = true
-		}
-	}
+	var ids []int
 	for _, it := range ld.Items {
-		collect(it.NormalTok)
-		collect(it.FaultyTok)
-		for _, tok := range it.Context {
-			collect(tok)
-		}
+		ids = append(ids, it.Loops...)
 	}
-	if len(ids) == 0 {
-		return ""
-	}
-	sorted := make([]int, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	sort.Ints(sorted)
-	var b strings.Builder
-	for _, id := range sorted {
-		fmt.Fprintf(&b, "L%d = %s\n", id, d.table.Describe(id))
-	}
-	return b.String()
+	return d.table.Legend(ids)
 }
 
 // WriteJSON writes the machine-readable report (stable field order, keyed

@@ -11,9 +11,6 @@ package diffnlr
 
 import (
 	"fmt"
-	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 
 	"difftrace/internal/diff"
@@ -29,17 +26,28 @@ type DiffNLR struct {
 	Faulty []string // NLR tokens of T'_x
 	Edits  []diff.Edit
 	Table  *nlr.Table // optional: resolves loop IDs in the legend
+	loops  []int      // IDs of the loops either sequence shows
 }
 
-// Compute diffs the two token sequences. table may be nil (no legend).
-func Compute(id trace.ThreadID, normal, faulty []string, table *nlr.Table) *DiffNLR {
-	return &DiffNLR{
-		ID:     id,
-		Normal: normal,
-		Faulty: faulty,
-		Edits:  diff.Diff(normal, faulty),
-		Table:  table,
+// Compute diffs the token sequences of two summarized sequences. table
+// may be nil (no legend).
+func Compute(id trace.ThreadID, normal, faulty []nlr.Element, table *nlr.Table) *DiffNLR {
+	n, f := nlr.Tokens(normal), nlr.Tokens(faulty)
+	d := &DiffNLR{ID: id, Normal: n, Faulty: f, Edits: diff.Diff(n, f), Table: table}
+	for _, seq := range [][]nlr.Element{normal, faulty} {
+		for _, e := range seq {
+			d.loops = appendLoopID(d.loops, e)
+		}
 	}
+	return d
+}
+
+// appendLoopID appends e's loop ID to ids when e is a loop.
+func appendLoopID(ids []int, e nlr.Element) []int {
+	if e.Loop != nil {
+		ids = append(ids, e.Loop.ID)
+	}
+	return ids
 }
 
 // Identical reports whether the two sequences match exactly.
@@ -111,36 +119,13 @@ func (d *DiffNLR) Render(color bool) string {
 	return b.String()
 }
 
-var loopTokRE = regexp.MustCompile(`^L(\d+)\^\d+$`)
-
-// Legend resolves every loop ID mentioned in either sequence through the
-// loop table, like the paper's "L0 represents CPU_Exec" notes.
+// Legend resolves every loop either sequence shows through the loop
+// table, like the paper's "L0 represents CPU_Exec" notes.
 func (d *DiffNLR) Legend() string {
 	if d.Table == nil {
 		return ""
 	}
-	ids := map[int]bool{}
-	for _, seq := range [][]string{d.Normal, d.Faulty} {
-		for _, tok := range seq {
-			if m := loopTokRE.FindStringSubmatch(tok); m != nil {
-				id, _ := strconv.Atoi(m[1])
-				ids[id] = true
-			}
-		}
-	}
-	if len(ids) == 0 {
-		return ""
-	}
-	sorted := make([]int, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	sort.Ints(sorted)
-	var b strings.Builder
-	for _, id := range sorted {
-		fmt.Fprintf(&b, "L%d = %s\n", id, d.Table.Describe(id))
-	}
-	return b.String()
+	return d.Table.Legend(d.loops)
 }
 
 // Verdict produces the Figure 6-style interpretation hints: whether the

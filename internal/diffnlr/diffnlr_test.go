@@ -8,9 +8,23 @@ import (
 	"difftrace/internal/trace"
 )
 
+// calls is a summarized sequence of plain calls.
+func calls(names ...string) []nlr.Element {
+	out := make([]nlr.Element, len(names))
+	for i, n := range names {
+		out[i] = nlr.Element{Sym: n}
+	}
+	return out
+}
+
+// loopOf is a loop element: body id repeated count times.
+func loopOf(id, count int) nlr.Element {
+	return nlr.Element{Loop: &nlr.Loop{ID: id, Count: count}}
+}
+
 func TestIdenticalTraces(t *testing.T) {
-	toks := []string{"MPI_Init", "L0^4", "MPI_Finalize"}
-	d := Compute(trace.TID(3, 0), toks, toks, nil)
+	seq := []nlr.Element{{Sym: "MPI_Init"}, loopOf(0, 4), {Sym: "MPI_Finalize"}}
+	d := Compute(trace.TID(3, 0), seq, seq, nil)
 	if !d.Identical() || d.Distance() != 0 {
 		t.Fatalf("identical traces reported distance %d", d.Distance())
 	}
@@ -21,8 +35,8 @@ func TestIdenticalTraces(t *testing.T) {
 
 func TestSwapBugRendering(t *testing.T) {
 	// Figure 5b.
-	normal := []string{"MPI_Init", "L1^16", "MPI_Finalize"}
-	faulty := []string{"MPI_Init", "L1^7", "L0^9", "MPI_Finalize"}
+	normal := []nlr.Element{{Sym: "MPI_Init"}, loopOf(1, 16), {Sym: "MPI_Finalize"}}
+	faulty := []nlr.Element{{Sym: "MPI_Init"}, loopOf(1, 7), loopOf(0, 9), {Sym: "MPI_Finalize"}}
 	d := Compute(trace.TID(5, 0), normal, faulty, nil)
 	out := d.Render(false)
 	if !strings.Contains(out, "diffNLR(5.0)") {
@@ -52,8 +66,8 @@ func TestSwapBugRendering(t *testing.T) {
 
 func TestDeadlockVerdict(t *testing.T) {
 	// Figure 6: the faulty trace never reaches MPI_Finalize.
-	normal := []string{"MPI_Init", "L1^16", "MPI_Finalize"}
-	faulty := []string{"MPI_Init", "L1^7", "MPI_Allreduce"}
+	normal := []nlr.Element{{Sym: "MPI_Init"}, loopOf(1, 16), {Sym: "MPI_Finalize"}}
+	faulty := []nlr.Element{{Sym: "MPI_Init"}, loopOf(1, 7), {Sym: "MPI_Allreduce"}}
 	d := Compute(trace.TID(5, 0), normal, faulty, nil)
 	v := d.Verdict()
 	if !strings.Contains(v, "stopped after MPI_Allreduce") || !strings.Contains(v, "never reached MPI_Finalize") {
@@ -66,7 +80,7 @@ func TestLegendResolvesLoopIDs(t *testing.T) {
 	// Intern two bodies so L0/L1 resolve.
 	nlr.Summarize([]string{"MPI_Send", "MPI_Recv", "MPI_Send", "MPI_Recv", "MPI_Send", "MPI_Recv"}, 10, tbl)
 	nlr.Summarize([]string{"MPI_Recv", "MPI_Send", "MPI_Recv", "MPI_Send", "MPI_Recv", "MPI_Send"}, 10, tbl)
-	d := Compute(trace.TID(0, 0), []string{"L0^16"}, []string{"L0^7", "L1^9"}, tbl)
+	d := Compute(trace.TID(0, 0), []nlr.Element{loopOf(0, 16)}, []nlr.Element{loopOf(0, 7), loopOf(1, 9)}, tbl)
 	legend := d.Legend()
 	if !strings.Contains(legend, "L0 = [MPI_Send MPI_Recv]") {
 		t.Errorf("legend = %q", legend)
@@ -79,15 +93,28 @@ func TestLegendResolvesLoopIDs(t *testing.T) {
 	}
 }
 
+// TestLegendIgnoresLoopLikeCallNames: the legend lists the loops the
+// sequences hold, not a call whose name reads like a loop token.
+func TestLegendIgnoresLoopLikeCallNames(t *testing.T) {
+	tbl := nlr.NewTable()
+	l0 := tbl.Intern(calls("a", "b"))
+	tbl.Intern(calls("p", "q"))
+	folded := nlr.Element{Loop: &nlr.Loop{Body: tbl.Body(l0), Count: 2, ID: l0}}
+	d := Compute(trace.TID(0, 0), []nlr.Element{{Sym: "L1^1"}, folded}, calls("L1^1"), tbl)
+	if got, want := d.Legend(), "L0 = [a b]\n"; got != want {
+		t.Errorf("legend = %q, want %q", got, want)
+	}
+}
+
 func TestLegendWithoutTable(t *testing.T) {
-	d := Compute(trace.TID(0, 0), []string{"L0^2"}, []string{"L0^3"}, nil)
+	d := Compute(trace.TID(0, 0), []nlr.Element{loopOf(0, 2)}, []nlr.Element{loopOf(0, 3)}, nil)
 	if d.Legend() != "" {
 		t.Error("legend without table should be empty")
 	}
 }
 
 func TestColorRendering(t *testing.T) {
-	d := Compute(trace.TID(1, 1), []string{"a", "b"}, []string{"a", "c"}, nil)
+	d := Compute(trace.TID(1, 1), calls("a", "b"), calls("a", "c"), nil)
 	out := d.Render(true)
 	for _, code := range []string{ansiGreen, ansiBlue, ansiRed} {
 		if !strings.Contains(out, code) {
@@ -101,7 +128,7 @@ func TestColorRendering(t *testing.T) {
 }
 
 func TestEmptyFaultyTrace(t *testing.T) {
-	d := Compute(trace.TID(0, 0), []string{"main"}, nil, nil)
+	d := Compute(trace.TID(0, 0), calls("main"), nil, nil)
 	if d.Identical() {
 		t.Error("one-sided diff reported identical")
 	}

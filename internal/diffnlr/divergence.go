@@ -74,6 +74,10 @@ type Divergence struct {
 	// Context holds up to ContextTokens common tokens immediately before
 	// the divergence point, oldest first.
 	Context []string `json:"context,omitempty"`
+
+	// Loops holds the IDs of the loops among the heads and Context, for a
+	// legend.
+	Loops []int `json:"-"`
 }
 
 // eq is structural equality of two elements summarized against one shared
@@ -122,20 +126,24 @@ func FindDivergence(normal, faulty []nlr.Element) *Divergence {
 	d := &Divergence{TokenIndex: i, EventIndex: events}
 	for c := max(0, i-ContextTokens); c < i; c++ {
 		d.Context = append(d.Context, normal[c].Token())
+		d.Loops = appendLoopID(d.Loops, normal[c])
 	}
 	switch {
 	case i == len(faulty):
 		d.Kind = FaultyStops
 		d.NormalTok = normal[i].Token()
+		d.Loops = appendLoopID(d.Loops, normal[i])
 		d.Func = firstSym(normal[i:])
 	case i == len(normal):
 		d.Kind = FaultyExtends
 		d.FaultyTok = faulty[i].Token()
+		d.Loops = appendLoopID(d.Loops, faulty[i])
 		d.Func = firstSym(faulty[i:])
 	default:
 		n, f := normal[i], faulty[i]
 		d.NormalTok = n.Token()
 		d.FaultyTok = f.Token()
+		d.Loops = appendLoopID(appendLoopID(d.Loops, n), f)
 		d.Func = firstSym(normal[i:])
 		if n.Loop != nil && f.Loop != nil && n.Loop.ID == f.Loop.ID {
 			// Same interned body looping a different number of times: the

@@ -2,6 +2,7 @@ package diffnlr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"difftrace/internal/nlr"
@@ -83,6 +84,24 @@ func TestDivergenceLoopCountEventIndex(t *testing.T) {
 	}
 	if d.EventIndex != 10 {
 		t.Fatalf("EventIndex = %d, want 10", d.EventIndex)
+	}
+}
+
+// TestDivergenceLoopsNameShownLoops: Loops holds the IDs of the loops
+// among the heads and context, in the order shown, and no call whose name
+// reads like a loop token.
+func TestDivergenceLoopsNameShownLoops(t *testing.T) {
+	tbl := nlr.NewTable()
+	l0 := tbl.Intern([]nlr.Element{{Sym: "a"}, {Sym: "b"}})
+	l1 := tbl.Intern([]nlr.Element{{Sym: "p"}, {Sym: "q"}})
+	loop := func(id, n int) nlr.Element { return nlr.Element{Loop: &nlr.Loop{Body: tbl.Body(id), Count: n, ID: id}} }
+	lead := []nlr.Element{{Sym: "x"}, {Sym: "L1^1"}, loop(l0, 2), {Sym: "y"}}
+	d := FindDivergence(append(lead, loop(l1, 3)), append(lead[:4:4], loop(l0, 5)))
+	if d == nil || d.Kind != Mutation {
+		t.Fatalf("want a mutation, got %+v", d)
+	}
+	if want := []int{l0, l1, l0}; !slices.Equal(d.Loops, want) {
+		t.Errorf("Loops = %v, want %v (context %v)", d.Loops, want, d.Context)
 	}
 }
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"regexp"
-	"strconv"
 	"strings"
 
 	"difftrace/internal/attr"
@@ -226,8 +224,8 @@ func Figure7(w io.Writer) (*Outcome, error) {
 	}
 	// The normal side contains critical-section calls; the faulty side's
 	// 6.4 never shows them.
-	normalHasCrit := containsToken(dA.Normal, dA.Table, "GOMP_critical_start")
-	faultyHasCrit := containsToken(dA.Faulty, dA.Table, "GOMP_critical_start")
+	normalHasCrit := containsToken(repA.Threads.Normal.NLR["6.4"], "GOMP_critical_start")
+	faultyHasCrit := containsToken(repA.Threads.Faulty.NLR["6.4"], "GOMP_critical_start")
 	o.metric("fig7a_normal_has_critical", "%v", normalHasCrit)
 	o.metric("fig7a_faulty_has_critical", "%v", faultyHasCrit)
 	if !normalHasCrit || faultyHasCrit {
@@ -263,7 +261,7 @@ func Figure7(w io.Writer) (*Outcome, error) {
 			o.fail("fig7b: faulty trace should end inside MPI_Allreduce, got %s", last)
 		}
 	}
-	if containsToken(dB.Faulty, dB.Table, "MPI_Finalize") {
+	if containsToken(repB.Threads.Faulty.NLR["4.0"], "MPI_Finalize") {
 		o.fail("fig7b: deadlocked process reached MPI_Finalize")
 	}
 
@@ -322,24 +320,18 @@ func Figure7(w io.Writer) (*Outcome, error) {
 	return o, nil
 }
 
-// containsToken reports whether a token of one diffNLR side names the call
-// (or starts with it), looking inside folded loops through the loop table:
-// a call the NLR folded into L<id>^<n> still occurs in that trace.
-func containsToken(tokens []string, table *nlr.Table, name string) bool {
-	for _, t := range tokens {
-		if t == name || strings.HasPrefix(t, name) {
-			return true
-		}
-		m := loopTokRE.FindStringSubmatch(t)
-		if m == nil || table == nil {
-			continue
-		}
-		id, _ := strconv.Atoi(m[1])
-		if containsToken(nlr.Tokens(table.Body(id)), table, name) {
+// containsToken reports whether a summarized sequence calls name (or a
+// call starting with it) at any depth: a call the NLR folded into
+// L<id>^<n> still occurs in that trace.
+func containsToken(elems []nlr.Element, name string) bool {
+	for _, e := range elems {
+		if e.Loop != nil {
+			if containsToken(e.Loop.Body, name) {
+				return true
+			}
+		} else if strings.HasPrefix(e.Sym, name) {
 			return true
 		}
 	}
 	return false
 }
-
-var loopTokRE = regexp.MustCompile(`^L(\d+)\^\d+$`)

@@ -65,9 +65,11 @@ func TableIII(w io.Writer) (*Outcome, error) {
 	for _, id := range set.IDs() {
 		fmt.Fprintf(w, "T%d: %s\n", id.Process, strings.Join(nlr.Tokens(sums[id]), "  "))
 	}
-	for i := 0; i < tbl.Len(); i++ {
-		fmt.Fprintf(w, "L%d = %s\n", i, tbl.Describe(i))
+	all := make([]int, tbl.Len())
+	for i := range all {
+		all[i] = i
 	}
+	fmt.Fprint(w, tbl.Legend(all))
 
 	if tbl.Len() != 2 {
 		o.fail("expected exactly 2 loop bodies, got %d", tbl.Len())

@@ -305,6 +305,19 @@ func (t *Table) Describe(id int) string {
 	return string(append(appendTokens([]byte{'['}, body, ' '), ']'))
 }
 
+// Legend renders one "L<id> = [body]" line per distinct ID in ids, in
+// ascending order: the notes a view prints under the loops it shows. The
+// IDs come from the elements shown (Loop.ID), never from their tokens.
+func (t *Table) Legend(ids []int) string {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	var b []byte
+	for _, id := range slices.Compact(ids) {
+		b = fmt.Appendf(b, "L%d = %s\n", id, t.Describe(id))
+	}
+	return string(b)
+}
+
 // key is a stack element's identity under isomorphism: a symbol's token,
 // or a loop's ID and count. Tokens are injective on names and the Table
 // guarantees body equality ⇔ ID equality, so two elements are isomorphic

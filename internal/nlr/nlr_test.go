@@ -228,6 +228,24 @@ func TestTableBodyBounds(t *testing.T) {
 	}
 }
 
+// TestTableLegend: one line per distinct ID, ascending, whatever order and
+// repeats the caller collected them in; the caller's slice is left as is.
+func TestTableLegend(t *testing.T) {
+	tbl := NewTable()
+	tbl.Intern([]Element{{Sym: "a"}, {Sym: "b"}})
+	tbl.Intern([]Element{{Sym: "p"}, {Sym: "q"}})
+	ids := []int{1, 0, 1}
+	if got, want := tbl.Legend(ids), "L0 = [a b]\nL1 = [p q]\n"; got != want {
+		t.Errorf("Legend = %q, want %q", got, want)
+	}
+	if ids[0] != 1 || ids[1] != 0 {
+		t.Errorf("Legend reordered the caller's IDs: %v", ids)
+	}
+	if tbl.Legend(nil) != "" {
+		t.Error("Legend of no IDs should be empty")
+	}
+}
+
 func TestReductionFactor(t *testing.T) {
 	var in []string
 	for i := 0; i < 100; i++ {

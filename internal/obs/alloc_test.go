@@ -6,10 +6,11 @@
 package obs
 
 import (
+	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"testing"
-
-	"difftrace/internal/obs/olog"
 )
 
 // assertZeroAllocs pins the nil-off contract's cost model: a disabled
@@ -46,27 +47,24 @@ func TestNilProgressZeroAllocs(t *testing.T) {
 
 var errAlloc = errors.New("static")
 
+// TestNilLoggerZeroAllocs: the logger a nil writer gives is free at every
+// level.
 func TestNilLoggerZeroAllocs(t *testing.T) {
-	var l *olog.Logger
-	assertZeroAllocs(t, "Info no fields", func() { l.Info("msg") })
-	assertZeroAllocs(t, "Info with fields", func() {
-		l.Info("msg", olog.Str("k", "v"), olog.Int("n", 3), olog.Err(errAlloc))
+	l := NewLogger(nil, slog.LevelInfo)
+	ctx := context.Background()
+	assertZeroAllocs(t, "LogAttrs no fields", func() { l.LogAttrs(ctx, slog.LevelInfo, "msg") })
+	assertZeroAllocs(t, "LogAttrs with fields", func() {
+		l.LogAttrs(ctx, slog.LevelError, "msg", slog.String("k", "v"), slog.Int("n", 3), slog.Any("err", errAlloc))
 	})
-	assertZeroAllocs(t, "With+Warn", func() {
-		l.With(olog.Str("trace_id", "t")).Warn("msg", olog.Bool("b", true))
-	})
-	assertZeroAllocs(t, "Enabled", func() { _ = l.Enabled(olog.Info) })
+	assertZeroAllocs(t, "Enabled", func() { _ = l.Enabled(ctx, slog.LevelError) })
 }
 
 // TestDisabledLevelZeroAllocs: a real logger below threshold is as free as
-// a nil one — level gating happens before any field is rendered.
+// a disabled one — level gating happens before any field is rendered.
 func TestDisabledLevelZeroAllocs(t *testing.T) {
-	l := olog.New(discard{}, olog.Error)
-	assertZeroAllocs(t, "Info below min level", func() {
-		l.Info("msg", olog.Str("k", "v"), olog.Int64("n", 9))
+	l := NewLogger(io.Discard, slog.LevelError)
+	ctx := context.Background()
+	assertZeroAllocs(t, "LogAttrs below threshold", func() {
+		l.LogAttrs(ctx, slog.LevelInfo, "msg", slog.String("k", "v"), slog.Int64("n", 9), slog.Any("err", errAlloc))
 	})
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -2,13 +2,14 @@ package service
 
 import (
 	"bytes"
+	"log/slog"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"difftrace/internal/obs/olog"
+	"difftrace/internal/obs"
 )
 
 // fixturePair returns the repo's checked-in ILCS trace pair — the same
@@ -138,7 +139,7 @@ func TestServiceDeterminismTelemetryNoLeak(t *testing.T) {
 
 	fetch := func() (manifest []byte, traceID, logs string) {
 		var lb lockedBuf
-		svc := newTestService(t, Config{Obs: newObsForTest(), Log: olog.New(&lb, olog.Info)})
+		svc := newTestService(t, Config{Obs: newObsForTest(), Log: obs.NewLogger(&lb, slog.LevelInfo)})
 		ts := httptest.NewServer(svc.Handler())
 		defer ts.Close()
 		resp, jr := postDiff(t, ts, req)

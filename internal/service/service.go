@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"strconv"
@@ -52,7 +53,6 @@ import (
 	"difftrace/internal/core"
 	"difftrace/internal/filter"
 	"difftrace/internal/obs"
-	"difftrace/internal/obs/olog"
 	"difftrace/internal/obs/telemetry"
 	"difftrace/internal/resilience"
 	"difftrace/internal/store"
@@ -141,9 +141,9 @@ type Config struct {
 	// Obs receives service-level metrics (admissions, rejections, cache
 	// hits, retries, panics). Nil disables at zero cost.
 	Obs *obs.Run
-	// Log receives structured JSON log lines with each job's trace ID and
-	// stage attached. Nil disables at zero cost.
-	Log *olog.Logger
+	// Log receives structured JSON log lines (obs.NewLogger) with each
+	// job's trace ID and stage attached. Nil disables at zero cost.
+	Log *slog.Logger
 	// FlightSize caps the flight recorder's ring of recently completed
 	// jobs (0: telemetry.DefaultFlightSize).
 	FlightSize int
@@ -163,6 +163,9 @@ func (c *Config) defaults() {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = DefaultJobTimeout
+	}
+	if c.Log == nil {
+		c.Log = obs.NewLogger(nil, slog.LevelInfo)
 	}
 }
 
@@ -215,7 +218,7 @@ type job struct {
 	req     DiffRequest
 	traceID obs.TraceID
 	prog    *obs.Progress // live telemetry; nil only for interned cache hits
-	log     *olog.Logger  // bound to trace_id + job id; nil is off
+	log     *slog.Logger  // bound to trace_id + job id when logging is on
 
 	// raw bytes pinned at admission; cleared once the job settles.
 	normalRaw, faultyRaw   []byte
@@ -323,16 +326,16 @@ func New(ctx context.Context, cfg Config) (*Service, *resilience.IngestReport, e
 	// store quarantines those) just means an empty recorder.
 	if blob, ok, err := st.GetSidecar(flightSidecar); err == nil && ok {
 		if rerr := s.flight.Restore(blob); rerr != nil {
-			cfg.Log.Warn("flight restore failed", olog.Err(rerr))
+			cfg.Log.LogAttrs(ctx, slog.LevelWarn, "flight restore failed", slog.Any("err", rerr))
 		}
 	}
-	cfg.Log.Info("service starting",
-		olog.Str("store", cfg.StoreDir),
-		olog.Int("concurrency", cfg.Concurrency),
-		olog.Int("queue_depth", cfg.QueueDepth),
-		olog.Int("workers", cfg.Workers),
-		olog.Int("flight_restored", s.flight.Len()),
-		olog.Int("store_quarantined", recovery.Quarantined()))
+	cfg.Log.LogAttrs(ctx, slog.LevelInfo, "service starting",
+		slog.String("store", cfg.StoreDir),
+		slog.Int("concurrency", cfg.Concurrency),
+		slog.Int("queue_depth", cfg.QueueDepth),
+		slog.Int("workers", cfg.Workers),
+		slog.Int("flight_restored", s.flight.Len()),
+		slog.Int("store_quarantined", recovery.Quarantined()))
 	for i := 0; i < cfg.Concurrency; i++ {
 		s.wg.Add(1)
 		//lint:allow nakedgoroutine worker loop is bounded by Config.Concurrency and joined by Stop via s.wg
@@ -395,7 +398,7 @@ func (s *Service) Artifacts(id string) (report, manifest []byte, ok bool) {
 func (s *Service) Submit(req DiffRequest) (JobView, error) {
 	if s.draining.Load() {
 		s.cfg.Obs.Counter("service.rejected_draining").Add(1)
-		s.cfg.Log.Warn("submission rejected: draining")
+		s.cfg.Log.LogAttrs(nil, slog.LevelWarn, "submission rejected: draining")
 		return JobView{}, ErrDraining
 	}
 	req.defaults()
@@ -453,7 +456,7 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 		}
 		jlog := j.log
 		j.mu.Unlock()
-		jlog.Info("cache hit", olog.Bool("fresh", fresh))
+		jlog.LogAttrs(nil, slog.LevelInfo, "cache hit", slog.Bool("fresh", fresh))
 		if fresh {
 			s.flight.Record(telemetry.JobRecord{
 				TraceID: string(tid), JobID: id, Outcome: string(StateDone), Cached: true,
@@ -472,7 +475,7 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 			// Same pair already on its way: share that run.
 			s.mu.Unlock()
 			s.cfg.Obs.Counter("service.dedup_joined").Add(1)
-			j.log.Info("submission joined in-flight job")
+			j.log.LogAttrs(nil, slog.LevelInfo, "submission joined in-flight job")
 			return v, nil
 		}
 		// done (stale artifacts?) or failed: fall through and requeue.
@@ -489,23 +492,28 @@ func (s *Service) Submit(req DiffRequest) (JobView, error) {
 		s.mu.Unlock()
 		s.cfg.Obs.Counter("service.admitted").Add(1)
 		s.cfg.Obs.Gauge("service.queue_len").Set(int64(len(s.queue)))
-		j.log.Info("job admitted",
-			olog.Str("filter", req.Filter),
-			olog.Str("attr", req.Attr),
-			olog.Str("linkage", req.Linkage),
-			olog.Int("queue_len", len(s.queue)))
+		j.log.LogAttrs(nil, slog.LevelInfo, "job admitted",
+			slog.String("filter", req.Filter),
+			slog.String("attr", req.Attr),
+			slog.String("linkage", req.Linkage),
+			slog.Int("queue_len", len(s.queue)))
 		return j.view(), nil
 	default:
 		s.mu.Unlock()
 		s.cfg.Obs.Counter("service.rejected_full").Add(1)
-		s.cfg.Log.Warn("submission rejected: queue full", olog.Str("trace_id", string(tid)))
+		s.cfg.Log.LogAttrs(nil, slog.LevelWarn, "submission rejected: queue full", slog.String("trace_id", string(tid)))
 		return JobView{}, ErrQueueFull
 	}
 }
 
-// jobLogger binds the service logger to one job's correlation keys.
-func (s *Service) jobLogger(tid obs.TraceID, id string) *olog.Logger {
-	return s.cfg.Log.With(olog.Str("trace_id", string(tid)), olog.Str("job", id))
+// jobLogger binds the service logger to one job's correlation keys. A
+// logger that writes nothing comes back unbound: With allocates even then,
+// and a job must cost nothing extra when logging is off.
+func (s *Service) jobLogger(tid obs.TraceID, id string) *slog.Logger {
+	if !s.cfg.Log.Enabled(nil, slog.LevelError) {
+		return s.cfg.Log
+	}
+	return s.cfg.Log.With(slog.String("trace_id", string(tid)), slog.String("job", id))
 }
 
 // internJob records a job reference for ID lookups without enqueueing
@@ -569,7 +577,7 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 		j.mu.Lock()
 		j.attempts = attempt
 		j.mu.Unlock()
-		j.log.Info("attempt starting", olog.Int("attempt", attempt))
+		j.log.LogAttrs(ctx, slog.LevelInfo, "attempt starting", slog.Int("attempt", attempt))
 		lastErr = s.attempt(jctx, j, attempt, timeout)
 		if lastErr == nil {
 			s.settle(j, StateDone, "")
@@ -580,7 +588,7 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 			// The drain deadline cancelled this run, not the job's own
 			// deadline: put it back in queued state so Stop persists it
 			// for the next boot.
-			j.log.Warn("drain cancelled attempt; job requeued for next boot")
+			j.log.LogAttrs(ctx, slog.LevelWarn, "drain cancelled attempt; job requeued for next boot")
 			s.settle(j, StateQueued, "")
 			return
 		}
@@ -588,7 +596,7 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 			break
 		}
 		s.cfg.Obs.Counter("service.retries").Add(1)
-		j.log.Warn("transient failure; backing off", olog.Int("attempt", attempt), olog.Err(lastErr))
+		j.log.LogAttrs(ctx, slog.LevelWarn, "transient failure; backing off", slog.Int("attempt", attempt), slog.Any("err", lastErr))
 		if !s.backoff(ctx, j.id, attempt) {
 			break // shutdown or cancellation interrupted the wait
 		}
@@ -636,18 +644,18 @@ func (s *Service) settle(j *job, state JobState, errMsg string) {
 		Degraded:       degraded,
 	})
 	if state == StateDone {
-		j.log.Info("job done",
-			olog.Int("attempts", attempts),
-			olog.Int64("run_ms", snap.RunMs),
-			olog.Int64("events", snap.Events),
-			olog.Int("degraded", degraded),
-			olog.Uint64("peak_heap_bytes", snap.PeakHeapBytes),
-			olog.Str("manifest_sha256", manifestSHA))
+		j.log.LogAttrs(nil, slog.LevelInfo, "job done",
+			slog.Int("attempts", attempts),
+			slog.Int64("run_ms", snap.RunMs),
+			slog.Int64("events", snap.Events),
+			slog.Int("degraded", degraded),
+			slog.Uint64("peak_heap_bytes", snap.PeakHeapBytes),
+			slog.String("manifest_sha256", manifestSHA))
 	} else {
-		j.log.Error("job failed",
-			olog.Int("attempts", attempts),
-			olog.Int64("run_ms", snap.RunMs),
-			olog.Str("reason", errMsg))
+		j.log.LogAttrs(nil, slog.LevelError, "job failed",
+			slog.Int("attempts", attempts),
+			slog.Int64("run_ms", snap.RunMs),
+			slog.String("reason", errMsg))
 	}
 }
 
@@ -852,9 +860,9 @@ type persistedQueue struct {
 func (s *Service) Stop(ctx context.Context) (int, error) {
 	s.draining.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.cfg.Log.Info("drain starting",
-		olog.Int("queue_len", len(s.queue)),
-		olog.Int64("running", s.running.Load()))
+	s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "drain starting",
+		slog.Int("queue_len", len(s.queue)),
+		slog.Int64("running", s.running.Load()))
 
 	done := make(chan struct{})
 	//lint:allow nakedgoroutine bounded: wg.Wait returns once the Concurrency workers exit; the goroutine is joined via done before Stop returns on the happy path and leaks at most until process exit on the deadline path
@@ -867,7 +875,7 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 	case <-ctx.Done():
 		// Drain deadline expired: cancel in-flight job contexts and wait
 		// for the (now promptly-aborting) workers.
-		s.cfg.Log.Warn("drain deadline expired; cancelling in-flight jobs")
+		s.cfg.Log.LogAttrs(ctx, slog.LevelWarn, "drain deadline expired; cancelling in-flight jobs")
 		s.cancel()
 		<-done
 	}
@@ -880,9 +888,9 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 	var flightBuf bytes.Buffer
 	if err := s.flight.WriteJSON(&flightBuf); err == nil {
 		if perr := s.store.PutSidecar(flightSidecar, flightBuf.Bytes()); perr != nil {
-			s.cfg.Log.Warn("flight dump failed", olog.Err(perr))
+			s.cfg.Log.LogAttrs(ctx, slog.LevelWarn, "flight dump failed", slog.Any("err", perr))
 		} else {
-			s.cfg.Log.Info("flight dump persisted", olog.Int("records", s.flight.Len()))
+			s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "flight dump persisted", slog.Int("records", s.flight.Len()))
 		}
 	}
 
@@ -914,7 +922,7 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 	})
 	if len(pending) == 0 {
 		// Boot consumed any earlier backlog, so there is none to remove.
-		s.cfg.Log.Info("drain complete", olog.Int("persisted", 0))
+		s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "drain complete", slog.Int("persisted", 0))
 		return 0, nil
 	}
 	blob, err := json.MarshalIndent(persistedQueue{Version: 1, Jobs: pending}, "", "  ")
@@ -924,7 +932,7 @@ func (s *Service) Stop(ctx context.Context) (int, error) {
 	if err := s.store.PutSidecar(queueSidecar, blob); err != nil {
 		return 0, fmt.Errorf("service: persist queue: %w", err)
 	}
-	s.cfg.Log.Info("drain complete", olog.Int("persisted", len(pending)))
+	s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "drain complete", slog.Int("persisted", len(pending)))
 	return len(pending), nil
 }
 
@@ -946,22 +954,22 @@ func (s *Service) restoreQueue() error {
 	}
 	var pq persistedQueue
 	if err := json.Unmarshal(blob, &pq); err != nil {
-		s.cfg.Log.Warn("queue restore: unreadable backlog dropped", olog.Err(err))
+		s.cfg.Log.LogAttrs(nil, slog.LevelWarn, "queue restore: unreadable backlog dropped", slog.Any("err", err))
 		return nil
 	}
 	restored := 0
 	for _, req := range pq.Jobs {
 		if _, err := s.Submit(req); err != nil && !errors.Is(err, ErrQueueFull) {
 			s.cfg.Obs.Counter("service.queue_restore_failed").Add(1)
-			s.cfg.Log.Warn("queue restore: submission failed",
-				olog.Str("normal", req.Normal), olog.Str("faulty", req.Faulty), olog.Err(err))
+			s.cfg.Log.LogAttrs(nil, slog.LevelWarn, "queue restore: submission failed",
+				slog.String("normal", req.Normal), slog.String("faulty", req.Faulty), slog.Any("err", err))
 			continue
 		}
 		restored++
 		s.cfg.Obs.Counter("service.queue_restored").Add(1)
 	}
 	if restored > 0 {
-		s.cfg.Log.Info("queue restored", olog.Int("jobs", restored))
+		s.cfg.Log.LogAttrs(nil, slog.LevelInfo, "queue restored", slog.Int("jobs", restored))
 	}
 	return nil
 }
