@@ -20,10 +20,12 @@ gofmt:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis: difftracelint loads and type-checks
-# every package in the module and proves the determinism/panic/concurrency
-# discipline at compile time (see DESIGN.md §9 and §14). Exits non-zero on
-# any unsuppressed diagnostic, including malformed //lint:allow directives.
+# Project-invariant static analysis: difftracelint type-checks every
+# package in the module (the standard library from export data, through
+# `go list -export`) and proves the determinism/panic/concurrency/
+# cancellation discipline at compile time, one check per invariant (see
+# DESIGN.md §9 and §14). Exits non-zero on any unsuppressed diagnostic,
+# including malformed //lint:allow directives.
 lint:
 	$(GO) run ./cmd/difftracelint ./...
 

@@ -172,7 +172,7 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(w io.Writer, o options) error {
+func run(w io.Writer, o options) (err error) {
 	errW := o.errW
 	if errW == nil {
 		errW = io.Writer(os.Stderr)
@@ -210,6 +210,15 @@ func run(w io.Writer, o options) error {
 		slog.String("linkage", o.linkageName),
 		slog.Bool("lenient", o.lenient),
 		slog.Int("workers", o.workers))
+	// Deferred first, so it is the last line of every run, and it says how
+	// the run ended: a null err at info, or the error at error level.
+	defer func() {
+		level := slog.LevelInfo
+		if err != nil {
+			level = slog.LevelError
+		}
+		logger.LogAttrs(ctx, level, "run finished", slog.Any("err", err))
+	}()
 	// The obs run exists only when some output will consume it; a nil run
 	// keeps every instrumented layer on its zero-cost fast path.
 	var obsRun *obs.Run
@@ -240,7 +249,6 @@ func run(w io.Writer, o options) error {
 	// Manifest/metrics emission runs on every exit path — a strict read
 	// failure or degraded analysis still leaves its observability record
 	// (the readers count bytes/lines even on the error path).
-	defer logger.LogAttrs(ctx, slog.LevelInfo, "run finished")
 	defer func() {
 		if obsRun == nil {
 			return

@@ -180,25 +180,29 @@ func TestManifestSweep(t *testing.T) {
 	}
 }
 
-// TestLogJSONLines: with -log-json, stderr holds only JSON lines, each
-// valid UTF-8 with ts, level, msg, the component and the -trace-id value,
-// from "run starting" to "run finished". A -normal path that is not valid
-// UTF-8 (here one that fails to open) still gives valid lines.
+// TestLogJSONLines: with -log-json, stderr holds JSON lines, each valid
+// UTF-8 with ts, level, msg, the component and the -trace-id value, from
+// "run starting" to "run finished", which says how the run ended: a null
+// err at info, or the error's message at error level. A -normal path that
+// is not valid UTF-8 (here one that fails to open) still gives valid
+// lines, and a run that fails before any input is read (a -pprof address
+// that cannot be listened on) still ends on "run finished".
 func TestLogJSONLines(t *testing.T) {
 	normal, faulty := writePair(t)
 	const tid = "feedfacecafebeef"
 	for _, tc := range []struct {
-		name, normal string
-		wantErr      bool
+		name, normal, pprof string
+		wantErr             bool
 	}{
-		{"run", normal, false},
-		{"invalid-utf8-path", filepath.Join(t.TempDir(), "n\xff.trace"), true},
+		{"run", normal, "", false},
+		{"invalid-utf8-path", filepath.Join(t.TempDir(), "n\xff.trace"), "", true},
+		{"bad-pprof-address", normal, "no-port", true},
 	} {
 		var errBuf bytes.Buffer
 		err := run(io.Discard, options{
 			normalPath: tc.normal, faultyPath: faulty,
 			filterSpec: "11.mpiall.0K10", attrSpec: "sing.noFreq", linkageName: "ward",
-			top: 6, logJSON: true, traceID: tid, errW: &errBuf,
+			top: 6, logJSON: true, traceID: tid, errW: &errBuf, pprofAddr: tc.pprof,
 		})
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
@@ -227,6 +231,16 @@ func TestLogJSONLines(t *testing.T) {
 		}
 		if got, want := lines[0]["normal"], strings.ToValidUTF8(tc.normal, "\ufffd"); got != want {
 			t.Errorf("%s: normal = %q, want %q", tc.name, got, want)
+		}
+		last := lines[len(lines)-1]
+		got, ok := last["err"]
+		switch {
+		case !ok:
+			t.Errorf("%s: run finished has no err field: %v", tc.name, last)
+		case !tc.wantErr && (got != nil || last["level"] != "info"):
+			t.Errorf("%s: run finished has err %v at level %v, want null at info", tc.name, got, last["level"])
+		case tc.wantErr && (got != strings.ToValidUTF8(err.Error(), "\ufffd") || got == "" || last["level"] != "error"):
+			t.Errorf("%s: run finished has err %v at level %v, want %q at error", tc.name, got, last["level"], err)
 		}
 	}
 }

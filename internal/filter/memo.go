@@ -3,10 +3,10 @@ package filter
 import "difftrace/internal/trace"
 
 // Memo holds a filter's keep decision for every function of a registry,
-// indexed by function ID. The pipeline filters every event it reads — and
-// re-filters on every summarization round, since each round replays the
-// source — so the regexp-backed KeepName would otherwise run once per
-// event instead of once per distinct function. Decisions are a pure
+// indexed by function ID. The pipeline filters every event it reads (only
+// the first summarization round reads events; later rounds restore a saved
+// stack), so the regexp-backed KeepName would otherwise run once per event
+// instead of once per distinct function. Decisions are a pure
 // function of the interned name, so the table cannot change results
 // (TestMemoMatchesKeepName checks it against KeepName); Apply and ApplySet
 // filter through a Memo too.

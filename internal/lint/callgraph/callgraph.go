@@ -24,7 +24,6 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"io"
 	"sort"
@@ -35,19 +34,15 @@ import (
 // Node is one function-like declaration in the module.
 type Node struct {
 	Key      string
-	Fn       *types.Func // nil for function literals
 	Pkg      *lint.Package
-	Decl     ast.Node // *ast.FuncDecl or *ast.FuncLit
-	Exported bool     // reachability root: exported name, main.main, or init
-	Calls    []*Edge  // outgoing references in source order
-	Callers  []*Edge  // incoming references
+	Exported bool    // reachability root: exported name, main.main, or init
+	Calls    []*Edge // outgoing references in source order
 }
 
-// Edge is one static reference from Caller to Callee at Pos.
+// Edge is one static reference from Caller to Callee.
 type Edge struct {
 	Caller *Node
 	Callee *Node
-	Pos    token.Pos
 }
 
 // Graph is the module-wide call graph plus its reachability closure.
@@ -88,9 +83,7 @@ func Build(pkgs []*lint.Package) *Graph {
 				}
 				g.add(&Node{
 					Key:      KeyOf(fn),
-					Fn:       fn,
 					Pkg:      pkg,
-					Decl:     fd,
 					Exported: isRoot(pkg, fd),
 				})
 			}
@@ -128,10 +121,8 @@ func (g *Graph) add(n *Node) {
 	g.nodes = append(g.nodes, n)
 }
 
-func (g *Graph) edge(from, to *Node, pos token.Pos) {
-	e := &Edge{Caller: from, Callee: to, Pos: pos}
-	from.Calls = append(from.Calls, e)
-	to.Callers = append(to.Callers, e)
+func (g *Graph) edge(from, to *Node) {
+	from.Calls = append(from.Calls, &Edge{Caller: from, Callee: to})
 }
 
 // walk records references out of cur, descending into function literals as
@@ -142,18 +133,17 @@ func (g *Graph) walk(pkg *lint.Package, cur *Node, body ast.Node, lits map[strin
 		case *ast.FuncLit:
 			lits[cur.Key]++
 			ln := &Node{
-				Key:  fmt.Sprintf("%s$%d", cur.Key, lits[cur.Key]),
-				Pkg:  pkg,
-				Decl: x,
+				Key: fmt.Sprintf("%s$%d", cur.Key, lits[cur.Key]),
+				Pkg: pkg,
 			}
 			g.add(ln)
-			g.edge(cur, ln, x.Pos())
+			g.edge(cur, ln)
 			g.walk(pkg, ln, x.Body, lits)
 			return false
 		case *ast.Ident:
 			if fn, ok := pkg.Info.Uses[x].(*types.Func); ok {
 				if callee, ok := g.ByKey[KeyOf(fn)]; ok {
-					g.edge(cur, callee, x.Pos())
+					g.edge(cur, callee)
 				}
 			}
 		}

@@ -1,77 +1,45 @@
-// Package atomicdiscipline enforces all-or-nothing atomicity: once any
-// access to a struct field goes through sync/atomic, every access must.
-// A plain load races with atomic.AddInt64 exactly as it would with a plain
-// store — the Go memory model gives mixed access no ordering at all — and
-// the resulting torn or stale reads are the schedule-dependent class of
-// bug this module exists to catch in traces.
+// Package atomicdiscipline enforces all-or-nothing atomicity: a word that
+// is accessed atomically is never read or written plainly. A plain load
+// races with an atomic add exactly as it would with a plain store — the Go
+// memory model gives mixed access no ordering at all — and the resulting
+// torn or stale reads are the schedule-dependent class of bug this module
+// exists to catch in traces.
 //
-// The field set is discovered, not declared: the summary layer records
-// every &s.field handed to a sync/atomic function, and every plain access
-// to those same fields. Constructors of the owning struct are exempt
-// (initialization before publication is unsynchronized by design); every
-// other plain access is reported, with the call chain from the exported
-// surface attached when one exists.
+// The invariant holds by type. sync/atomic's function API
+// (atomic.AddInt64(&s.n, 1), atomic.LoadInt64, ...) is the only way to mix
+// atomic and plain access to one word, so the check bans it: shared words
+// are typed atomics (atomic.Int64, atomic.Bool, atomic.Pointer[T], ...),
+// whose methods are the only access they allow, and go vet's copylocks
+// check rejects copying one.
 package atomicdiscipline
 
 import (
+	"go/ast"
+	"go/types"
+
 	"difftrace/internal/lint"
-	"difftrace/internal/lint/callgraph"
-	"difftrace/internal/lint/summary"
 )
 
 // Check is the registered atomicdiscipline analyzer.
 var Check = &lint.Check{
-	Name:      "atomicdiscipline",
-	Doc:       "fields touched via sync/atomic must never be read or written plainly outside the constructor",
-	RunModule: run,
+	Name: "atomicdiscipline",
+	Doc:  "shared words are typed atomics: sync/atomic's function API, which lets atomic and plain access mix, is never used",
+	Run:  run,
 }
 
-func run(mp *lint.ModulePass) {
-	g := callgraph.For(mp)
-	s := summary.For(mp)
-
-	atomicFields := make(map[string]bool)
-	for _, ps := range s.Pkgs {
-		for _, a := range ps.Atomics {
-			atomicFields[a.Field] = true
-		}
-	}
-	for _, ps := range s.Pkgs {
-		for _, a := range ps.Accesses {
-			if !atomicFields[a.Field] {
-				continue
-			}
-			if constructs(s.Func(a.Fn), ownerOf(a.Field)) {
-				continue
-			}
-			verb := "read"
-			if a.Write {
-				verb = "written"
-			}
-			mp.ReportAt(ps.Rel, a.Pos.File, a.Pos.Line, a.Pos.Col, g.ChainFromExported(a.Fn),
-				"%s is managed with sync/atomic but %s plainly here — every access must go through sync/atomic",
-				a.Field, verb)
-		}
-	}
-}
-
-func constructs(fn *summary.FuncSummary, owner string) bool {
-	if fn == nil {
-		return false
-	}
-	for _, c := range fn.Constructs {
-		if c == owner {
+func run(p *lint.Pass) {
+	p.InspectFiles(func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
 			return true
 		}
-	}
-	return false
-}
-
-func ownerOf(field string) string {
-	for i := len(field) - 1; i >= 0; i-- {
-		if field[i] == '.' {
-			return field[:i]
+		// Typed-atomic methods have a receiver and pass.
+		fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+			p.Reportf(id.Pos(),
+				"atomic.%s lets atomic and plain access mix on one word — use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)",
+				fn.Name())
 		}
-	}
-	return field
+		return true
+	})
 }

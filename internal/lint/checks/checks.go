@@ -7,7 +7,6 @@ import (
 	"difftrace/internal/lint"
 	"difftrace/internal/lint/checks/atomicdiscipline"
 	"difftrace/internal/lint/checks/ctxdiscipline"
-	"difftrace/internal/lint/checks/ctxflow"
 	"difftrace/internal/lint/checks/errwrap"
 	"difftrace/internal/lint/checks/expanddiscipline"
 	"difftrace/internal/lint/checks/lockdiscipline"
@@ -20,14 +19,12 @@ import (
 )
 
 // All returns every registered check in stable (alphabetical) order. The
-// four RunModule checks (atomicdiscipline, ctxflow, lockdiscipline,
-// orderflow) share one call graph and one summary set per run via the
-// ModulePass fact table.
+// two RunModule checks (lockdiscipline, orderflow) share one call graph
+// and one summary set per run via the ModulePass fact table.
 func All() []*lint.Check {
 	return []*lint.Check{
 		atomicdiscipline.Check,
 		ctxdiscipline.Check,
-		ctxflow.Check,
 		errwrap.Check,
 		expanddiscipline.Check,
 		lockdiscipline.Check,

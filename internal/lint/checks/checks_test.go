@@ -10,7 +10,6 @@ import (
 	"difftrace/internal/lint/checks"
 	"difftrace/internal/lint/checks/atomicdiscipline"
 	"difftrace/internal/lint/checks/ctxdiscipline"
-	"difftrace/internal/lint/checks/ctxflow"
 	"difftrace/internal/lint/checks/errwrap"
 	"difftrace/internal/lint/checks/expanddiscipline"
 	"difftrace/internal/lint/checks/lockdiscipline"
@@ -43,6 +42,14 @@ func TestCtxdiscipline(t *testing.T) { linttest.Run(t, ctxdiscipline.Check, fixt
 func TestExpanddiscipline(t *testing.T) {
 	linttest.Run(t, expanddiscipline.Check, fixture("expanddiscipline"))
 }
+func TestAtomicdiscipline(t *testing.T) {
+	linttest.Run(t, atomicdiscipline.Check, fixture("atomicdiscipline"))
+}
+
+// TestCtxflow runs ctxdiscipline's sibling rule (rule 4) over a fixture
+// module: the ctx-less API and its Context sibling live in another
+// package, as they do in the module.
+func TestCtxflow(t *testing.T) { linttest.RunModule(t, ctxdiscipline.Check, fixture("ctxflow")) }
 
 // The interprocedural checks load their fixtures as whole modules: each
 // violation spans at least one function boundary, most span packages.
@@ -59,10 +66,6 @@ func TestMaprange(t *testing.T) {
 func TestLockdiscipline(t *testing.T) {
 	linttest.RunModule(t, lockdiscipline.Check, fixture("lockdiscipline"))
 }
-func TestAtomicdiscipline(t *testing.T) {
-	linttest.RunModule(t, atomicdiscipline.Check, fixture("atomicdiscipline"))
-}
-func TestCtxflow(t *testing.T) { linttest.RunModule(t, ctxflow.Check, fixture("ctxflow")) }
 
 // TestCtxdisciplineMainExempt: the same patterns in a package main fixture
 // produce zero diagnostics — entry points own the root context.
@@ -94,10 +97,10 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// TestRegistryNames pins the registry: twelve invariants, stable names,
+// TestRegistryNames pins the registry: eleven invariants, stable names,
 // every check documented.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"atomicdiscipline", "ctxdiscipline", "ctxflow", "errwrap", "expanddiscipline", "lockdiscipline", "nakedgoroutine", "nilreceiver", "obsdiscipline", "orderflow", "panicdiscipline", "wallclock"}
+	want := []string{"atomicdiscipline", "ctxdiscipline", "errwrap", "expanddiscipline", "lockdiscipline", "nakedgoroutine", "nilreceiver", "obsdiscipline", "orderflow", "panicdiscipline", "wallclock"}
 	all := checks.All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d checks, want %d", len(all), len(want))

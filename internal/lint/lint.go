@@ -1,13 +1,18 @@
 // Package lint is difftracelint's analyzer framework: a stdlib-only
-// (go/parser, go/ast, go/types, go/importer) multi-pass static analyzer
-// that loads every package in the module, type-checks it, and runs a
-// registry of project-invariant checks.
+// (go/parser, go/ast, go/types, go/importer) static analyzer that loads
+// every package in the module, type-checks it, and runs a registry of
+// project-invariant checks, one check per invariant.
 //
-// Each check proves, at compile time, an invariant a prior PR could only
-// test by sampling at runtime: byte-identical reports at any worker count
-// (orderflow, wallclock, nakedgoroutine), degraded-not-dead error handling
-// (panicdiscipline, errwrap), and the nil-off observability contract
-// (nilreceiver). See DESIGN.md §9 for the invariant ledger.
+// Each check proves, at compile time, an invariant the test suites could
+// only sample at runtime: byte-identical reports at any worker count
+// (orderflow, wallclock, nakedgoroutine, lockdiscipline,
+// atomicdiscipline), degraded-not-dead error handling (panicdiscipline,
+// errwrap), cancellation that flows (ctxdiscipline), summaries that never
+// expand a whole trace (expanddiscipline), and the nil-off observability
+// contract (nilreceiver, obsdiscipline). Most checks run per package;
+// lockdiscipline and orderflow need the whole module (see ModulePass).
+// See DESIGN.md §9 for the invariant ledger and §14 for the whole-module
+// engine.
 //
 // Diagnostics render as "file:line: [check-name] message" (module-relative
 // paths) or as a stable JSON array. Two suppression layers exist:
@@ -54,9 +59,10 @@ func (d Diagnostic) String() string {
 }
 
 // Check is one registered project invariant. Exactly one of Run and
-// RunModule is set: Run is invoked once per loaded package (syntactic
-// checks), RunModule once per module with every package loaded
-// (interprocedural checks that compose call-graph and summary facts).
+// RunModule is set: Run is invoked once per loaded package (checks the
+// type checker resolves inside one package), RunModule once per module
+// with every package loaded (interprocedural checks that compose
+// call-graph and summary facts).
 type Check struct {
 	Name      string // stable kebab-free identifier, used in directives and JSON
 	Doc       string // one-line invariant statement (shown by difftracelint -list)

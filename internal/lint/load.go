@@ -2,8 +2,10 @@
 // the module are discovered by walking the tree, parsed with go/parser, and
 // type-checked with go/types; imports resolve through a shim that checks
 // module-internal packages recursively from source and delegates everything
-// else (the standard library) to go/importer's source importer. Loading is
-// serial and memoized: each package is checked once per Loader.
+// else (the standard library) to go/importer's gc importer, which reads the
+// compiler's export data (it runs the toolchain's `go list -export` to find
+// it, so the go command must be installed). Loading is serial and memoized:
+// each package is checked once per Loader.
 package lint
 
 import (
@@ -56,7 +58,7 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:    fset,
 		ModRoot: root,
 		ModPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		pkgs:    make(map[string]*Package),
 	}, nil
 }
@@ -337,8 +339,8 @@ func (l *Loader) check(path string, files []*ast.File, imp types.ImporterFrom) (
 
 // shimImporter routes module-internal imports back through the loader (so
 // their syntax and Info stay available for analysis) and everything else to
-// the source importer. One shim exists per in-progress load, carrying that
-// load's import chain for cycle detection.
+// the export-data importer. One shim exists per in-progress load, carrying
+// that load's import chain for cycle detection.
 type shimImporter struct {
 	l     *Loader
 	stack []string

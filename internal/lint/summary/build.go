@@ -1,9 +1,8 @@
 // The summary walker: one source-ordered pass over each function body that
 // simultaneously tracks order-taint (which locals carry map-iteration
-// order), the lexical lock set (which receiver mutexes are held), atomic
-// field uses, context forwarding, and module call sites. The walk is
-// per-package and self-contained; everything cross-package is deferred to
-// the Set fixpoints.
+// order), the lexical lock set (which receiver mutexes are held), and
+// module call sites. The walk is per-package and self-contained;
+// everything cross-package is deferred to the Set fixpoints.
 //
 // Known, deliberate approximations:
 //   - taint is field-based (one tainted instance taints the field key
@@ -11,8 +10,7 @@
 //   - the lock simulation is lexical and linear: branches are merged
 //     optimistically in source order, and lock/unlock helper methods
 //     propagate only within their own package;
-//   - embedded (unnamed) mutexes and cross-package atomic/plain mixing are
-//     not modeled.
+//   - embedded (unnamed) mutexes are not modeled.
 package summary
 
 import (
@@ -36,7 +34,7 @@ type moduleIndex struct {
 	fieldOwner map[*types.Var]string // struct field object -> "pkg.Type"
 	mutexKey   map[*types.Var]string // sync.Mutex/RWMutex fields only
 	structMu   map[string][]string   // struct key -> its mutex keys
-	guarded    map[*types.Var]bool   // fields whose plain accesses are recorded
+	guarded    map[*types.Var]bool   // fields whose accesses are recorded
 }
 
 func buildIndex(pkgs []*lint.Package) *moduleIndex {
@@ -115,15 +113,6 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-func isCtxType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
 // pkgBuilder accumulates one package's summary.
 type pkgBuilder struct {
 	mp  *lint.ModulePass
@@ -131,10 +120,6 @@ type pkgBuilder struct {
 	idx *moduleIndex
 	ps  *PkgSummary
 
-	// atomicFields are this package's fields reached through sync/atomic
-	// (found by the pre-scan); their plain accesses are recorded even when
-	// the struct has no mutex.
-	atomicFields map[*types.Var]bool
 	// lockExit maps a method key to the receiver mutex keys it leaves
 	// locked at exit — the same-package lock-helper pre-pass.
 	lockExit map[string][]string
@@ -149,11 +134,10 @@ func buildPkg(mp *lint.ModulePass, pkg *lint.Package, idx *moduleIndex) *PkgSumm
 			Path: pkg.Path,
 			Rel:  mp.PkgRel(pkg),
 		},
-		atomicFields: make(map[*types.Var]bool),
-		lockExit:     make(map[string][]string),
+		lockExit: make(map[string][]string),
 	}
 	b.scanMutexStructs()
-	b.preScan()
+	b.scanLockHelpers()
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -193,35 +177,10 @@ func (b *pkgBuilder) scanMutexStructs() {
 	}
 }
 
-// preScan makes two cheap passes before the main walk: collect the fields
-// this package touches through sync/atomic, and compute each method's
+// scanLockHelpers computes, before the main walk, each method's
 // lock-at-exit delta so same-package lock helpers (func (g *G) lock()
 // { g.mu.Lock() }) extend the caller's lexical lock set.
-func (b *pkgBuilder) preScan() {
-	for _, f := range b.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := b.staticCallee(call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-				return true
-			}
-			for _, a := range call.Args {
-				u, ok := a.(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				if sel, ok := u.X.(*ast.SelectorExpr); ok {
-					if fv := b.fieldOf(sel); fv != nil {
-						b.atomicFields[fv] = true
-					}
-				}
-			}
-			return true
-		})
-	}
+func (b *pkgBuilder) scanLockHelpers() {
 	for _, f := range b.pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -361,13 +320,11 @@ type funcWalker struct {
 	fs  *FuncSummary
 	sig *types.Signature
 
-	ctxObj   types.Object
 	taint    map[types.Object]map[string]bool
 	held     []*heldLock
 	deferred map[*ast.CallExpr]bool
 	asyncLit map[*ast.FuncLit]bool // launched via go/defer: no lock inheritance
 	writes   map[ast.Node]bool     // selector nodes in write position
-	skip     map[ast.Node]bool     // selectors consumed by atomic ops
 	funIdent map[*ast.Ident]bool
 	litN     int
 
@@ -390,7 +347,7 @@ type rangeAppend struct {
 // literals (a closure built inside a critical section runs under it unless
 // launched with go/defer).
 func (b *pkgBuilder) walkFunc(key string, sig *types.Signature, body *ast.BlockStmt, held []*heldLock) {
-	fs := &FuncSummary{Key: key, CtxParam: -1}
+	fs := &FuncSummary{Key: key}
 	w := &funcWalker{
 		b:        b,
 		fs:       fs,
@@ -400,18 +357,8 @@ func (b *pkgBuilder) walkFunc(key string, sig *types.Signature, body *ast.BlockS
 		deferred: make(map[*ast.CallExpr]bool),
 		asyncLit: make(map[*ast.FuncLit]bool),
 		writes:   make(map[ast.Node]bool),
-		skip:     make(map[ast.Node]bool),
 		funIdent: make(map[*ast.Ident]bool),
 		sorted:   make(map[types.Object]bool),
-	}
-	if params := sig.Params(); params != nil {
-		for i := 0; i < params.Len(); i++ {
-			if isCtxType(params.At(i).Type()) {
-				fs.CtxParam = i
-				w.ctxObj = params.At(i)
-				break
-			}
-		}
 	}
 	if results := sig.Results(); results != nil {
 		for i := 0; i < results.Len(); i++ {
@@ -429,12 +376,6 @@ func (b *pkgBuilder) walkFunc(key string, sig *types.Signature, body *ast.BlockS
 	b.ps.Funcs = append(b.ps.Funcs, fs)
 	w.walk(body)
 	w.unsortedAppends()
-	for _, h := range w.held {
-		if !h.deferred {
-			fs.LocksAtExit = appendUnique(fs.LocksAtExit, h.key)
-		}
-	}
-	sort.Strings(fs.LocksAtExit)
 }
 
 func (w *funcWalker) walk(body ast.Node) {
@@ -703,14 +644,8 @@ func (w *funcWalker) markWrite(e ast.Expr) {
 }
 
 func (w *funcWalker) handleSelector(sel *ast.SelectorExpr) {
-	if w.skip[sel] {
-		return
-	}
 	fv := w.b.selectedField(sel)
-	if fv == nil {
-		return
-	}
-	if !w.b.idx.guarded[fv] && !w.b.atomicFields[fv] {
+	if fv == nil || !w.b.idx.guarded[fv] {
 		return
 	}
 	fkey := w.b.idx.fieldKey[fv]
@@ -808,28 +743,6 @@ func (w *funcWalker) handleCall(call *ast.CallExpr) {
 		pkgPath = fn.Pkg().Path()
 	}
 
-	if pkgPath == "sync/atomic" {
-		for _, a := range call.Args {
-			u, ok := a.(*ast.UnaryExpr)
-			if !ok || u.Op != token.AND {
-				continue
-			}
-			sel, ok := u.X.(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			if fv := w.b.fieldOf(sel); fv != nil {
-				w.skip[sel] = true
-				w.b.ps.Atomics = append(w.b.ps.Atomics, AtomicUse{
-					Field: w.b.idx.fieldKey[fv],
-					Fn:    w.fs.Key,
-					Pos:   w.b.pos(sel.Sel.Pos()),
-				})
-			}
-		}
-		return
-	}
-
 	// sort.* and slices.Sort* put their arguments into a deterministic
 	// order: launder their taint, and count every object they mention as
 	// sorted for the never-sorted-slice rule.
@@ -870,9 +783,6 @@ func (w *funcWalker) handleCall(call *ast.CallExpr) {
 				}
 			}
 		}
-		if w.fs.CtxParam >= 0 {
-			w.noteCtxUse(call, fn, ck)
-		}
 	}
 
 	if desc, writes := sinkName(fn); desc != "" {
@@ -901,41 +811,6 @@ func (w *funcWalker) handleCall(call *ast.CallExpr) {
 			}
 		}
 	}
-}
-
-// noteCtxUse classifies a module call made while a ctx parameter is in
-// scope: forwarding it, or calling an API that cannot take it.
-func (w *funcWalker) noteCtxUse(call *ast.CallExpr, fn *types.Func, calleeKey string) {
-	hasCtxArg := false
-	mentionsOurCtx := false
-	for _, a := range call.Args {
-		if t := w.b.pkg.Info.TypeOf(a); t != nil && isCtxType(t) {
-			hasCtxArg = true
-		}
-		ast.Inspect(a, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && w.b.pkg.Info.Uses[id] == w.ctxObj {
-				mentionsOurCtx = true
-			}
-			return true
-		})
-	}
-	if hasCtxArg {
-		if mentionsOurCtx {
-			w.fs.ForwardsCtx = true
-		}
-		return
-	}
-	if params := fn.Type().(*types.Signature).Params(); params != nil {
-		for i := 0; i < params.Len(); i++ {
-			if isCtxType(params.At(i).Type()) {
-				return // takes a ctx; the call just built one elsewhere
-			}
-		}
-	}
-	w.fs.CallsNoCtx = append(w.fs.CallsNoCtx, CallNoCtx{
-		Callee: calleeKey,
-		Pos:    w.b.pos(call.Pos()),
-	})
 }
 
 // handleIdent records bare references to module functions (method values,

@@ -1,9 +1,9 @@
 // Package summary computes difftracelint's per-function summaries: for
 // every function, method, and function literal in the module, a small
-// record of the facts the interprocedural checks compose — whether its
-// returns carry map-iteration order, which context parameter it accepts
-// and whether it forwards it, which mutexes it still holds at exit, and
-// which struct fields it touches under which locks.
+// record of the facts the interprocedural checks (orderflow,
+// lockdiscipline) compose — whether its returns carry map-iteration order,
+// which module functions it calls under which locks, and which fields of
+// mutex-carrying structs it touches under which locks.
 //
 // Summaries are built package by package and then closed under two
 // module-wide fixpoints:
@@ -39,40 +39,21 @@ type Pos struct {
 	Col  int
 }
 
-// CallNoCtx records a call to a module function that accepts no Context,
-// made from a function that has one in scope.
-type CallNoCtx struct {
-	Callee string
-	Pos    Pos
-}
-
 // FuncSummary is the per-function record. Key matches the callgraph node
 // key (types.Func.FullName, with "$n" suffixes for literals).
 type FuncSummary struct {
 	Key            string
-	CtxParam       int      // index of the context.Context parameter, -1 if none
-	ForwardsCtx    bool     // passes its ctx parameter onward at least once
 	UnorderedLocal bool     // returns map-iteration-ordered data directly
 	ReturnDeps     []string // source refs its returns depend on
-	LocksAtExit    []string // receiver mutexes still held on return
 	Constructs     []string // struct keys appearing in its results
-	CallsNoCtx     []CallNoCtx
 }
 
-// FieldAccess is one plain (non-atomic) access to a field of a
-// mutex-carrying or atomically-used struct.
+// FieldAccess is one access to a data field of a mutex-carrying struct.
 type FieldAccess struct {
 	Field string // "pkg/path.Type.field"
 	Write bool
 	Held  []string // mutex keys held at the access, same base
 	Fn    string   // containing function key
-	Pos   Pos
-}
-
-// AtomicUse is one access to a field through sync/atomic.
-type AtomicUse struct {
-	Field string
-	Fn    string
 	Pos   Pos
 }
 
@@ -123,7 +104,6 @@ type PkgSummary struct {
 
 	Funcs        []*FuncSummary
 	Accesses     []FieldAccess
-	Atomics      []AtomicUse
 	MutexStructs []MutexStruct
 	SinkFlows    []SinkFlow
 	TaintAssigns []TaintAssign

@@ -39,8 +39,8 @@ func passFor(t *testing.T, root string) *lint.ModulePass {
 }
 
 // testModule exercises every summary dimension at once: order taint
-// through a helper return, a struct field, and laundering; lock discipline
-// with direct locks, defer, and lock helpers; atomics; and ctx flow.
+// through a helper return, a struct field, and laundering; and lock
+// discipline with direct locks, defer, and lock helpers.
 func testModule() map[string]string {
 	return map[string]string{
 		"go.mod": "module sm\n\ngo 1.22\n",
@@ -93,10 +93,8 @@ func (g *Gauge) Render() int {
 		"a.go": `package sm
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sm/order"
 )
@@ -115,13 +113,6 @@ func (c *Cache) Dump() {
 	fmt.Println(c.hot)
 }
 
-type Stats struct {
-	hits int64
-}
-
-func (s *Stats) Hit()        { atomic.AddInt64(&s.hits, 1) }
-func (s *Stats) Racy() int64 { return s.hits }
-
 func Emit(m map[string]int) {
 	ks := order.Keys(m)
 	fmt.Println(ks)
@@ -132,14 +123,6 @@ func EmitSorted(m map[string]int) {
 	sort.Strings(ks)
 	fmt.Println(ks)
 }
-
-func Run(ctx context.Context, n int) { work(n) }
-
-func work(n int) {}
-
-func RunGood(ctx context.Context, n int) { workCtx(ctx, n) }
-
-func workCtx(ctx context.Context, n int) {}
 `,
 	}
 }
@@ -188,9 +171,6 @@ func TestOrderFixpoint(t *testing.T) {
 func TestLockFacts(t *testing.T) {
 	s := summary.Build(passFor(t, writeModule(t, testModule())))
 
-	if f := s.Func("(*sm/cell.Gauge).lock"); f == nil || !reflect.DeepEqual(f.LocksAtExit, []string{"sm/cell.Gauge.mu"}) {
-		t.Errorf("lock() should report LocksAtExit = [Gauge.mu], got %+v", f)
-	}
 	accesses := make(map[string][]summary.FieldAccess)
 	for _, ps := range s.Pkgs {
 		for _, a := range ps.Accesses {
@@ -223,41 +203,5 @@ func TestLockFacts(t *testing.T) {
 	}
 	if got := s.HeldAlways("(*sm/cell.Gauge).Render"); got != nil {
 		t.Errorf("Render is exported; HeldAlways must be nil, got %v", got)
-	}
-}
-
-func TestAtomicAndCtxFacts(t *testing.T) {
-	s := summary.Build(passFor(t, writeModule(t, testModule())))
-
-	var atomicHit, plainHit bool
-	for _, ps := range s.Pkgs {
-		for _, a := range ps.Atomics {
-			if a.Field == "sm.Stats.hits" && a.Fn == "(*sm.Stats).Hit" {
-				atomicHit = true
-			}
-		}
-		for _, a := range ps.Accesses {
-			if a.Field == "sm.Stats.hits" && a.Fn == "(*sm.Stats).Racy" && !a.Write {
-				plainHit = true
-			}
-		}
-	}
-	if !atomicHit {
-		t.Error("Hit's atomic.AddInt64(&s.hits, 1) not recorded as an AtomicUse")
-	}
-	if !plainHit {
-		t.Error("Racy's plain read of an atomically-used field not recorded")
-	}
-
-	run := s.Func("sm.Run")
-	if run == nil || run.CtxParam != 0 {
-		t.Fatalf("Run should have ctx at param 0, got %+v", run)
-	}
-	if len(run.CallsNoCtx) != 1 || run.CallsNoCtx[0].Callee != "sm.work" {
-		t.Errorf("Run drops ctx calling work; CallsNoCtx = %+v", run.CallsNoCtx)
-	}
-	good := s.Func("sm.RunGood")
-	if good == nil || !good.ForwardsCtx || len(good.CallsNoCtx) != 0 {
-		t.Errorf("RunGood forwards ctx; got %+v", good)
 	}
 }

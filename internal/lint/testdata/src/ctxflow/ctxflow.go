@@ -30,6 +30,6 @@ func Legacy(n int) int {
 // Fire is the sanctioned escape: a fire-and-forget audit write that must
 // outlive the request.
 func Fire(ctx context.Context, n int) int {
-	//lint:allow ctxflow fire-and-forget audit write outlives the request
+	//lint:allow ctxdiscipline fire-and-forget audit write outlives the request
 	return work.Do(n)
 }
