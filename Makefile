@@ -99,8 +99,8 @@ profile:
 
 # Short live fuzzing session over the trace readers, the equivalence
 # targets (streaming reader vs batch reader, NLR summarizer and its
-# overlay rounds vs the frozen string-keyed reference), and the divergence
-# alignment walk.
+# overlay rounds vs the frozen string-keyed reference, the bounded-memory
+# Myers pass vs its full-V reference), and the divergence alignment walk.
 fuzz:
 	$(GO) test -fuzz=FuzzReadSetText -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzReadSetBinary -fuzztime=30s ./internal/parlot
@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSummarizeReference -fuzztime=30s ./internal/nlr/reftest
 	$(GO) test -fuzz=FuzzOverlayRounds -fuzztime=30s ./internal/nlr/reftest
 	$(GO) test -fuzz=FuzzFindDivergence -fuzztime=30s ./internal/diffnlr
+	$(GO) test -fuzz=FuzzMyersReference -fuzztime=30s ./internal/diff
 
 # Streaming memory-ceiling proof: a 24M-event pair whose expansion is >=20x
 # the 8 MiB heap budget must analyze without the live heap ever crossing

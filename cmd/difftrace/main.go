@@ -241,7 +241,12 @@ func run(w io.Writer, o options) (err error) {
 			return fmt.Errorf("pprof: %w", err)
 		}
 		defer ln.Close()
-		fmt.Fprintf(errW, "pprof: serving http://%s/debug/pprof/\n", ln.Addr())
+		// Under -log-json stderr holds only JSON lines.
+		if o.logJSON {
+			logger.LogAttrs(ctx, slog.LevelInfo, "pprof serving", slog.String("addr", ln.Addr().String()))
+		} else {
+			fmt.Fprintf(errW, "pprof: serving http://%s/debug/pprof/\n", ln.Addr())
+		}
 		//lint:allow nakedgoroutine pprof debug server rides outside the pipeline; it is bounded by the listener closed on return, not by the Workers budget
 		go http.Serve(ln, nil) //nolint:errcheck // closed via defer on return
 	}

@@ -185,8 +185,9 @@ func TestManifestSweep(t *testing.T) {
 // "run starting" to "run finished", which says how the run ended: a null
 // err at info, or the error's message at error level. A -normal path that
 // is not valid UTF-8 (here one that fails to open) still gives valid
-// lines, and a run that fails before any input is read (a -pprof address
-// that cannot be listened on) still ends on "run finished".
+// lines, a run that fails before any input is read (a -pprof address
+// that cannot be listened on) still ends on "run finished", and a served
+// -pprof address is logged as a JSON line too.
 func TestLogJSONLines(t *testing.T) {
 	normal, faulty := writePair(t)
 	const tid = "feedfacecafebeef"
@@ -197,6 +198,7 @@ func TestLogJSONLines(t *testing.T) {
 		{"run", normal, "", false},
 		{"invalid-utf8-path", filepath.Join(t.TempDir(), "n\xff.trace"), "", true},
 		{"bad-pprof-address", normal, "no-port", true},
+		{"pprof", normal, "127.0.0.1:0", false},
 	} {
 		var errBuf bytes.Buffer
 		err := run(io.Discard, options{
@@ -241,6 +243,16 @@ func TestLogJSONLines(t *testing.T) {
 			t.Errorf("%s: run finished has err %v at level %v, want null at info", tc.name, got, last["level"])
 		case tc.wantErr && (got != strings.ToValidUTF8(err.Error(), "\ufffd") || got == "" || last["level"] != "error"):
 			t.Errorf("%s: run finished has err %v at level %v, want %q at error", tc.name, got, last["level"], err)
+		}
+		if tc.pprof != "" && !tc.wantErr {
+			served := false
+			for _, m := range lines {
+				addr, _ := m["addr"].(string)
+				served = served || m["msg"] == "pprof serving" && strings.HasPrefix(addr, "127.0.0.1:")
+			}
+			if !served {
+				t.Errorf("%s: no pprof serving line with its addr:\n%s", tc.name, errBuf.String())
+			}
 		}
 	}
 }

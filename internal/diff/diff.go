@@ -55,83 +55,123 @@ type elemOp struct {
 	bi int // index into b (Equal, Insert)
 }
 
-// myers runs the forward O(ND) greedy algorithm, storing the V arrays per D
-// so the edit script can be reconstructed by backtracking.
+// myers computes the elementary edit script of Myers' greedy algorithm.
+// The common prefix is exactly the d = 0 snake: diffing what follows it
+// shifts every later V entry by its length, so every comparison, and so
+// the script, stays the same. After the prefix an empty side is all
+// deletions or all insertions.
 func myers(a, b []string) []elemOp {
-	n, m := len(a), len(b)
-	max := n + m
-	if max == 0 {
-		return nil
+	p := 0
+	for p < len(a) && p < len(b) && a[p] == b[p] {
+		p++
 	}
-	// V is indexed by diagonal k in [-max, max]; offset by max.
-	v := make([]int, 2*max+2)
-	var trace [][]int
+	n, m := len(a), len(b)
+	dist := n + m - 2*p
+	var trace []snapshot
+	if p < n && p < m {
+		trace = forward(a[p:], b[p:])
+		dist = len(trace)
+	}
+	// A script of distance dist holds (n+m-dist)/2 equal tokens; fill it
+	// from the end while backtracking from (n, m).
+	ops := make([]elemOp, (n+m+dist)/2)
+	i := len(ops)
+	x, y := n, m
+	for d := len(trace); d > 0; d-- {
+		vd := trace[d-1]
+		k := x - y
+		prevK := k - 1
+		if k == -d || (k != d && vd.at(k-1) < vd.at(k+1)) {
+			prevK = k + 1
+		}
+		prevX := p + vd.at(prevK)
+		prevY := prevX - prevK
+		// Snake: equal elements walked after the edit.
+		for x > prevX && y > prevY {
+			x--
+			y--
+			i--
+			ops[i] = elemOp{op: Equal, ai: x, bi: y}
+		}
+		i--
+		if x == prevX { // came from k+1: insertion of b[prevY]
+			y--
+			ops[i] = elemOp{op: Insert, bi: y}
+		} else { // deletion of a[prevX]
+			x--
+			ops[i] = elemOp{op: Delete, ai: x}
+		}
+	}
+	// What an empty side leaves after the prefix, then the prefix.
+	for x > p {
+		x--
+		i--
+		ops[i] = elemOp{op: Delete, ai: x}
+	}
+	for y > p {
+		y--
+		i--
+		ops[i] = elemOp{op: Insert, bi: y}
+	}
+	for x > 0 {
+		x--
+		i--
+		ops[i] = elemOp{op: Equal, ai: x, bi: x}
+	}
+	return ops
+}
 
-	var dFound = -1
-outer:
-	for d := 0; d <= max; d++ {
-		snapshot := make([]int, len(v))
-		copy(snapshot, v)
-		trace = append(trace, snapshot)
+// snapshot holds V[lo], V[lo+2], ..., the entries of V that backtracking
+// reads at one step.
+type snapshot struct {
+	lo int
+	v  []int32
+}
+
+func (s snapshot) at(k int) int { return int(s.v[(k-s.lo)/2]) }
+
+// forward runs the greedy forward pass over a and b, both non-empty with
+// differing first tokens, until it reaches (n, m). Entry d-1 of the result
+// keeps what backtracking reads at step d: step d-1's endpoints on the
+// diagonals of d-1's parity, and only inside the band [-m-1, n+1], since
+// backtracking visits grid points only, on diagonals -m..n, and reads their
+// neighbours.
+func forward(a, b []string) []snapshot {
+	n, m := len(a), len(b)
+	off := n + m
+	// V is indexed by diagonal k in [-off, off]; offset by off.
+	v := make([]int, 2*off+2)
+	var trace []snapshot
+	for d := 0; d <= off; d++ {
+		if d > 0 {
+			lo, hi := max(-(d-1), -m-1), min(d-1, n+1)
+			lo += (lo - (d - 1)) & 1
+			hi -= (hi - (d - 1)) & 1
+			s := snapshot{lo: lo, v: make([]int32, (hi-lo)/2+1)}
+			for j := range s.v {
+				s.v[j] = int32(v[off+lo+2*j])
+			}
+			trace = append(trace, s)
+		}
 		for k := -d; k <= d; k += 2 {
 			var x int
-			if k == -d || (k != d && v[max+k-1] < v[max+k+1]) {
-				x = v[max+k+1] // move down (insert from b)
+			if k == -d || (k != d && v[off+k-1] < v[off+k+1]) {
+				x = v[off+k+1] // move down (insert from b)
 			} else {
-				x = v[max+k-1] + 1 // move right (delete from a)
+				x = v[off+k-1] + 1 // move right (delete from a)
 			}
 			y := x - k
 			for x < n && y < m && a[x] == b[y] {
 				x++
 				y++
 			}
-			v[max+k] = x
+			v[off+k] = x
 			if x >= n && y >= m {
-				dFound = d
-				break outer
+				return trace
 			}
 		}
 	}
-
-	// Backtrack from (n, m) through the stored V arrays.
-	var ops []elemOp
-	x, y := n, m
-	for d := dFound; d > 0; d-- {
-		vd := trace[d]
-		k := x - y
-		var prevK int
-		if k == -d || (k != d && vd[max+k-1] < vd[max+k+1]) {
-			prevK = k + 1
-		} else {
-			prevK = k - 1
-		}
-		prevX := vd[max+prevK]
-		prevY := prevX - prevK
-		// Snake: equal elements walked after the edit.
-		for x > prevX && y > prevY {
-			x--
-			y--
-			ops = append(ops, elemOp{op: Equal, ai: x, bi: y})
-		}
-		if x == prevX { // came from k+1: insertion of b[prevY]
-			y--
-			ops = append(ops, elemOp{op: Insert, bi: y})
-		} else { // deletion of a[prevX]
-			x--
-			ops = append(ops, elemOp{op: Delete, ai: x})
-		}
-	}
-	// Leading snake at d == 0.
-	for x > 0 && y > 0 {
-		x--
-		y--
-		ops = append(ops, elemOp{op: Equal, ai: x, bi: y})
-	}
-	// Reverse into forward order.
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-	return ops
+	return trace
 }
 
 // coalesce groups elementary ops into maximal runs. Within a changed hunk,

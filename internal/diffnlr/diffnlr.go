@@ -12,6 +12,7 @@ package diffnlr
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"difftrace/internal/diff"
 	"difftrace/internal/nlr"
@@ -75,48 +76,75 @@ const (
 // Common tokens occupy both columns; normal-only tokens get a "- " gutter
 // in the left column, faulty-only a "+ " gutter in the right.
 func (d *DiffNLR) Render(color bool) string {
-	width := 12
+	// width is in bytes, but a column pads its token to width runes (as
+	// fmt's %-*s does), so a multi-byte token's line is that much longer.
+	width, lines, wide := 12, 0, 0
 	for _, e := range d.Edits {
+		lines += len(e.Tokens)
 		for _, tok := range e.Tokens {
-			if len(tok)+2 > width {
-				width = len(tok) + 2
-			}
+			width = max(width, len(tok)+2)
+			wide += 2 * (len(tok) - utf8.RuneCountInString(tok))
 		}
 	}
-	paint := func(code, s string) string {
-		if !color {
-			return s
-		}
-		return code + s + ansiReset
+	id, legend, verdict := d.ID.String(), d.Legend(), d.Verdict()
+	lineLen := 2*width + 6
+	if color {
+		lineLen += len(ansiGreen) + len(ansiReset)
 	}
+	spaces := strings.Repeat(" ", width)
+	rule := strings.Repeat("-", 2*width+12)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "diffNLR(%s)  %-*s %s\n", d.ID, width, "normal", "faulty")
-	rule := strings.Repeat("-", 2*width+12)
-	b.WriteString(rule + "\n")
+	// The header, two rules, the token lines, the legend and the verdict.
+	b.Grow(len(id) + width + 19 + 2*len(rule) + 2 + lines*lineLen + wide + len(legend) + len(verdict) + 10)
+	line := func(code, gutter, left, mid, right string) {
+		if color {
+			b.WriteString(code)
+		}
+		b.WriteString(gutter)
+		writeCol(&b, left, spaces)
+		b.WriteString(mid)
+		writeCol(&b, right, spaces)
+		if color {
+			b.WriteString(ansiReset)
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("diffNLR(")
+	b.WriteString(id)
+	b.WriteString(")  ")
+	writeCol(&b, "normal", spaces)
+	b.WriteString(" faulty\n")
+	b.WriteString(rule)
+	b.WriteByte('\n')
 	for _, e := range d.Edits {
 		for _, tok := range e.Tokens {
 			switch e.Op {
 			case diff.Equal:
-				line := fmt.Sprintf("  %-*s   %-*s", width, tok, width, tok)
-				b.WriteString(paint(ansiGreen, line) + "\n")
+				line(ansiGreen, "  ", tok, "   ", tok)
 			case diff.Delete:
-				line := fmt.Sprintf("- %-*s   %-*s", width, tok, width, "")
-				b.WriteString(paint(ansiBlue, line) + "\n")
+				line(ansiBlue, "- ", tok, "   ", "")
 			case diff.Insert:
-				line := fmt.Sprintf("  %-*s + %-*s", width, "", width, tok)
-				b.WriteString(paint(ansiRed, line) + "\n")
+				line(ansiRed, "  ", "", " + ", tok)
 			}
 		}
 	}
-	b.WriteString(rule + "\n")
-	if legend := d.Legend(); legend != "" {
-		b.WriteString(legend)
-	}
-	if v := d.Verdict(); v != "" {
-		b.WriteString("verdict: " + v + "\n")
+	b.WriteString(rule)
+	b.WriteByte('\n')
+	b.WriteString(legend)
+	if verdict != "" {
+		b.WriteString("verdict: ")
+		b.WriteString(verdict)
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// writeCol writes tok left-aligned in a column of len(spaces) runes, as
+// fmt's %-*s pads it; tok has fewer runes than that.
+func writeCol(b *strings.Builder, tok, spaces string) {
+	b.WriteString(tok)
+	b.WriteString(spaces[utf8.RuneCountInString(tok):])
 }
 
 // Legend resolves every loop either sequence shows through the loop

@@ -1,9 +1,12 @@
 package diffnlr
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"difftrace/internal/diff"
 	"difftrace/internal/nlr"
 	"difftrace/internal/trace"
 )
@@ -136,4 +139,97 @@ func TestEmptyFaultyTrace(t *testing.T) {
 		t.Errorf("verdict on empty side = %q", d.Verdict())
 	}
 	_ = d.Render(false) // must not panic
+}
+
+// renderRef is the reference renderer: each line through fmt's %-*s, into
+// a builder that grows as it goes. Render is held to its bytes.
+func renderRef(d *DiffNLR, color bool) string {
+	width := 12
+	for _, e := range d.Edits {
+		for _, tok := range e.Tokens {
+			if len(tok)+2 > width {
+				width = len(tok) + 2
+			}
+		}
+	}
+	paint := func(code, s string) string {
+		if !color {
+			return s
+		}
+		return code + s + ansiReset
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "diffNLR(%s)  %-*s %s\n", d.ID, width, "normal", "faulty")
+	rule := strings.Repeat("-", 2*width+12)
+	b.WriteString(rule + "\n")
+	for _, e := range d.Edits {
+		for _, tok := range e.Tokens {
+			switch e.Op {
+			case diff.Equal:
+				line := fmt.Sprintf("  %-*s   %-*s", width, tok, width, tok)
+				b.WriteString(paint(ansiGreen, line) + "\n")
+			case diff.Delete:
+				line := fmt.Sprintf("- %-*s   %-*s", width, tok, width, "")
+				b.WriteString(paint(ansiBlue, line) + "\n")
+			case diff.Insert:
+				line := fmt.Sprintf("  %-*s + %-*s", width, "", width, tok)
+				b.WriteString(paint(ansiRed, line) + "\n")
+			}
+		}
+	}
+	b.WriteString(rule + "\n")
+	if legend := d.Legend(); legend != "" {
+		b.WriteString(legend)
+	}
+	if v := d.Verdict(); v != "" {
+		b.WriteString("verdict: " + v + "\n")
+	}
+	return b.String()
+}
+
+// TestRenderMatchesReference: Render gives renderRef's bytes, with color
+// on and off, for tokens with multi-byte runes, tokens wider than the
+// 12-byte minimum column, identical and one-sided sequences, and a legend.
+func TestRenderMatchesReference(t *testing.T) {
+	tbl := nlr.NewTable()
+	l0 := tbl.Intern(calls("MPI_Send", "MPI_Recv"))
+	loop := nlr.Element{Loop: &nlr.Loop{Body: tbl.Body(l0), Count: 3, ID: l0}}
+	rng := rand.New(rand.NewSource(27))
+	alphabet := []string{"a", "MPI_Init", "é", "日本語", "ünïcödé_call", "MPI_Allreduce_with_a_long_name", "x y"}
+	random := func(n int) []nlr.Element {
+		out := make([]nlr.Element, n)
+		for i := range out {
+			out[i] = nlr.Element{Sym: alphabet[rng.Intn(len(alphabet))]}
+		}
+		return out
+	}
+	cases := []struct {
+		name           string
+		normal, faulty []nlr.Element
+		table          *nlr.Table
+	}{
+		{"identical", calls("MPI_Init", "é", "MPI_Finalize"), calls("MPI_Init", "é", "MPI_Finalize"), nil},
+		{"multi-byte", calls("main", "日本語", "ß"), calls("main", "ünïcödé", "日本語日本語日本語日本語"), nil},
+		{"wide", calls("MPI_Allreduce_with_a_long_name", "b"), calls("c", "MPI_Allreduce_with_a_long_name"), nil},
+		{"loops", []nlr.Element{{Sym: "main"}, loop}, []nlr.Element{{Sym: "main"}, {Sym: "MPI_Send"}}, tbl},
+		{"empty-faulty", calls("main", "日本"), nil, nil},
+		{"empty-normal", nil, calls("main"), nil},
+		{"both-empty", nil, nil, nil},
+	}
+	for i := 0; i < 20; i++ {
+		cases = append(cases, struct {
+			name           string
+			normal, faulty []nlr.Element
+			table          *nlr.Table
+		}{"random", random(rng.Intn(30)), random(rng.Intn(30)), nil})
+	}
+	for _, tc := range cases {
+		d := Compute(trace.TID(2, 1), tc.normal, tc.faulty, tc.table)
+		for _, color := range []bool{false, true} {
+			if got, want := d.Render(color), renderRef(d, color); got != want {
+				t.Errorf("%s (color %v): Render differs from the reference\n got %q\nwant %q", tc.name, color, got, want)
+			}
+		}
+	}
 }

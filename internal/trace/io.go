@@ -240,6 +240,10 @@ func ReadSetTextContext(ctx context.Context, r io.Reader, reg *Registry, opts Re
 		// auto-close) and traces carrying the explicit "truncated" marker.
 		stacks map[ThreadID][]uint32
 		marked map[ThreadID]bool
+		// ids caches this read's names: ids[string(name)] does not
+		// allocate, and reg.ID runs only on a name's first occurrence, in
+		// the order an uncached read would intern it.
+		ids = map[string]uint32{}
 	)
 	if lenient {
 		stacks = map[ThreadID][]uint32{}
@@ -393,7 +397,12 @@ func ReadSetTextContext(ctx context.Context, r io.Reader, reg *Registry, opts Re
 				cur.Truncated = true
 				continue
 			}
-			fn := reg.ID(string(name))
+			fn, ok := ids[string(name)]
+			if !ok {
+				key := string(name)
+				fn = reg.ID(key)
+				ids[key] = fn
+			}
 			if lenient {
 				if k == Enter {
 					stacks[cur.ID] = append(stacks[cur.ID], fn)

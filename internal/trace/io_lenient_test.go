@@ -297,3 +297,87 @@ func TestStrictMatchesLegacyErrors(t *testing.T) {
 		}
 	}
 }
+
+// eventInput writes one trace of n call/ret events over eight names.
+func eventInput(n int) []byte {
+	var b bytes.Buffer
+	b.WriteString("# trace 0.0\n")
+	for i := 0; i < n/2; i++ {
+		name := "fn_" + string(rune('a'+i%8))
+		b.WriteString("call " + name + "\nret " + name + "\n")
+	}
+	return b.Bytes()
+}
+
+// TestReadSetTextAllocsPerNameNotPerEvent: a read allocates per distinct
+// name, not per event, so four times the events cost only a few more
+// allocations (the growth of the event slice).
+func TestReadSetTextAllocsPerNameNotPerEvent(t *testing.T) {
+	allocs := func(in []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReadSetText(bytes.NewReader(in), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 1000
+	small, large := allocs(eventInput(n)), allocs(eventInput(4*n))
+	if large > small+16 {
+		t.Errorf("%d events: %.0f allocations; %d events: %.0f", n, small, 4*n, large)
+	}
+}
+
+// perEventRegistry is the reference for the reader's interning: it calls
+// reg.ID on every event line of a trace with a valid header, in file
+// order, across inputs read into one registry.
+func perEventRegistry(inputs ...string) *Registry {
+	reg := NewRegistry()
+	for _, in := range inputs {
+		named := false
+		for _, line := range strings.Split(in, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# trace "); ok {
+				_, err := ParseThreadID(rest)
+				named = err == nil
+				continue
+			}
+			kind, name, ok := strings.Cut(line, " ")
+			if named && ok && (kind == "call" || kind == "ret") {
+				reg.ID(name)
+			}
+		}
+	}
+	return reg
+}
+
+// TestReadSetTextInternsLikePerEventID: two reads that share a registry,
+// as a service reading a normal and a faulty run does, give every name the
+// ID a per-event reg.ID read gives it. The lenient input holds an
+// unbalanced ret (interned, then dropped) and a quarantined trace (never
+// interned).
+func TestReadSetTextInternsLikePerEventID(t *testing.T) {
+	normal := "# trace 0.0\ncall main\ncall MPI_Init\nret MPI_Init\n" +
+		"# trace 1.0\ncall main\ncall MPI_Send\nret MPI_Send\nret main\n"
+	faulty := "# trace 1.0\ncall main\ncall MPI_Recv\ncall MPI_Init\nret MPI_Init\n" +
+		"# trace 0.0\ncall MPI_Send\nret MPI_Send\n"
+	damaged := "# trace 0.0\nret orphan_ret\ncall main\ncall MPI_Barrier\n" +
+		"# trace bogus\ncall quarantined_fn\nret quarantined_fn\n" +
+		"# trace 2.0\ncall MPI_Init\ncall late_fn\n"
+	for _, tc := range []struct {
+		mode           ReadMode
+		normal, faulty string
+	}{
+		{Strict, normal, faulty},
+		{Lenient, damaged, normal},
+		{Lenient, faulty, damaged},
+	} {
+		reg := NewRegistry()
+		for _, in := range []string{tc.normal, tc.faulty} {
+			if _, _, err := ReadSetTextContext(nil, strings.NewReader(in), reg, ReadOptions{Mode: tc.mode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := reg.Names(), perEventRegistry(tc.normal, tc.faulty).Names(); !reflect.DeepEqual(got, want) {
+			t.Errorf("mode %v: names by ID %v, want %v", tc.mode, got, want)
+		}
+	}
+}
