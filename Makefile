@@ -100,7 +100,8 @@ profile:
 # Short live fuzzing session over the trace readers, the equivalence
 # targets (streaming reader vs batch reader, NLR summarizer and its
 # overlay rounds vs the frozen string-keyed reference, the bounded-memory
-# Myers pass vs its full-V reference), and the divergence alignment walk.
+# Myers pass vs its full-V reference, the cached-minimum linkage vs the
+# full closest-pair scan), and the divergence alignment walk.
 fuzz:
 	$(GO) test -fuzz=FuzzReadSetText -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzReadSetBinary -fuzztime=30s ./internal/parlot
@@ -109,6 +110,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzOverlayRounds -fuzztime=30s ./internal/nlr/reftest
 	$(GO) test -fuzz=FuzzFindDivergence -fuzztime=30s ./internal/diffnlr
 	$(GO) test -fuzz=FuzzMyersReference -fuzztime=30s ./internal/diff
+	$(GO) test -fuzz=FuzzBuildMatchesFullScan -fuzztime=30s ./internal/cluster
 
 # Streaming memory-ceiling proof: a 24M-event pair whose expansion is >=20x
 # the 8 MiB heap budget must analyze without the live heap ever crossing

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +103,35 @@ func TestValidation(t *testing.T) {
 		if !m.Valid() {
 			t.Errorf("%s not Valid", m)
 		}
+	}
+}
+
+// TestNonFiniteDistances: NaN and ±Inf cells are errors that name the
+// cell, never a panic, and so is a working space that overflows: ward
+// squares its inputs, and 1e200² is +Inf.
+func TestNonFiniteDistances(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		all := [][]float64{{0, v, v}, {v, 0, v}, {v, v, 0}}
+		one := [][]float64{{0, 1, 2}, {1, 0, 3}, {2, 3, 0}}
+		one[2][1] = v
+		for _, d := range [][][]float64{all, one} {
+			for _, m := range AllMethods() {
+				_, err := Build(d, m)
+				if err == nil || !strings.Contains(err.Error(), "non-finite") {
+					t.Errorf("%v cell, %s: err = %v", v, m, err)
+				}
+			}
+		}
+		if _, err := Build(one, Single); err == nil || !strings.Contains(err.Error(), "(2,1)") {
+			t.Errorf("%v cell: err = %v, want it to name (2,1)", v, err)
+		}
+	}
+	big := [][]float64{{0, 1e200}, {1e200, 0}}
+	if _, err := Build(big, Ward); err == nil {
+		t.Error("ward over 1e200 accepted")
+	}
+	if lk, err := Build(big, Single); err != nil || lk.Steps[0].Distance != 1e200 {
+		t.Errorf("single over 1e200: %v %v", lk, err)
 	}
 }
 
@@ -451,12 +483,12 @@ func buildFullScan(d [][]float64, method Method) *Linkage {
 	return lk
 }
 
-// tieMatrix draws each distance from four levels, then nudges it up by
-// fewer than ulps ulps (at most four stay under 1e-15 at 1.0), so pairs
-// tie exactly or within the scan's 1e-15 tolerance. With skew, the lower
-// triangle is nudged apart from the upper one too, as far as Build's 1e-9
-// symmetry check lets a caller's matrix go.
-func tieMatrix(rng *rand.Rand, n, ulps int, skew bool) [][]float64 {
+// tieMatrix draws each distance from levels levels in [0, 1], then nudges
+// it up by fewer than ulps ulps (at most four stay under 1e-15 at 1.0), so
+// pairs tie exactly or within the scan's 1e-15 tolerance. With skew, the
+// lower triangle is nudged apart from the upper one too, as far as Build's
+// 1e-9 symmetry check lets a caller's matrix go.
+func tieMatrix(rng *rand.Rand, n, levels, ulps int, skew bool) [][]float64 {
 	nudge := func(v float64) float64 {
 		for u := rng.Intn(ulps); u > 0; u-- {
 			v = math.Nextafter(v, 2)
@@ -469,7 +501,7 @@ func tieMatrix(rng *rand.Rand, n, ulps int, skew bool) [][]float64 {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := nudge(float64(rng.Intn(4)) / 3)
+			v := nudge(float64(rng.Intn(levels)) / float64(max(levels-1, 1)))
 			d[i][j], d[j][i] = v, v
 			if skew {
 				d[j][i] = nudge(v)
@@ -479,38 +511,148 @@ func tieMatrix(rng *rand.Rand, n, ulps int, skew bool) [][]float64 {
 	return d
 }
 
+// jaccardMatrix is a JSM's distance matrix, 1 − |A∩B|/|A∪B|, over n
+// random attribute sets drawn from a universe of u attributes: with u
+// small most sets repeat, so most entries tie exactly, zeros included, as
+// in the JSMs of real runs.
+func jaccardMatrix(rng *rand.Rand, n, u int) [][]float64 {
+	sets := make([]uint64, n)
+	for i := range sets {
+		sets[i] = rng.Uint64() & (1<<u - 1)
+	}
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			inter := bits.OnesCount64(sets[i] & sets[j])
+			union := bits.OnesCount64(sets[i] | sets[j])
+			if i != j && union > 0 {
+				d[i][j] = 1 - float64(inter)/float64(union)
+			}
+		}
+	}
+	return d
+}
+
+// sameSteps fails t unless Build's steps on d equal the full-scan
+// reference's, distances bit for bit.
+func sameSteps(t *testing.T, label string, d [][]float64, method Method) {
+	t.Helper()
+	got, err := Build(d, method)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := buildFullScan(d, method)
+	if got.N != want.N || len(got.Steps) != len(want.Steps) {
+		t.Fatalf("%s: %d steps, reference %d", label, len(got.Steps), len(want.Steps))
+	}
+	for s := range want.Steps {
+		g, w := got.Steps[s], want.Steps[s]
+		if g.A != w.A || g.B != w.B || g.Size != w.Size ||
+			math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+			t.Fatalf("%s step %d: %+v, reference %+v", label, s, g, w)
+		}
+	}
+}
+
 // TestLiveSlotScanMatchesFullScan: Build's steps equal the full-scan
 // reference's, distances bit for bit, for every method on matrices full of
-// exact ties and of near-ties closer than 1e-15.
+// exact ties and of near-ties closer than 1e-15, where the row caches
+// often cannot prove the scan's pair and the step runs the scan.
 func TestLiveSlotScanMatchesFullScan(t *testing.T) {
+	// Single linkage merges (1,3) first, and row 0's new entry at column 1
+	// ties the minimum it holds at columns 2 and 3: the row's first minimum
+	// moves to column 1 without a rescan, a case random matrices seldom
+	// reach.
+	moved := [][]float64{
+		{0, 3, 2, 2, 3},
+		{3, 0, 5, 1, 5},
+		{2, 5, 0, 5, 5},
+		{2, 1, 5, 0, 5},
+		{3, 5, 5, 5, 0},
+	}
 	rng := rand.New(rand.NewSource(3))
 	for _, method := range AllMethods() {
+		sameSteps(t, fmt.Sprintf("%s moved argmin", method), moved, method)
 		for trial := 0; trial < 60; trial++ {
 			n := rng.Intn(60)
 			var d [][]float64
 			switch trial % 3 {
 			case 0:
-				d = tieMatrix(rng, n, 1, false) // exact ties only
+				d = tieMatrix(rng, n, 4, 1, false) // exact ties only
 			case 1:
-				d = tieMatrix(rng, n, 5, false)
+				d = tieMatrix(rng, n, 4, 5, false)
 			case 2:
-				d = tieMatrix(rng, n, 5, true)
+				d = tieMatrix(rng, n, 4, 5, true)
 			}
-			got, err := Build(d, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := buildFullScan(d, method)
-			if got.N != want.N || len(got.Steps) != len(want.Steps) {
-				t.Fatalf("%s n=%d: %d steps, reference %d", method, n, len(got.Steps), len(want.Steps))
-			}
-			for s := range want.Steps {
-				g, w := got.Steps[s], want.Steps[s]
-				if g.A != w.A || g.B != w.B || g.Size != w.Size ||
-					math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
-					t.Fatalf("%s n=%d step %d: %+v, reference %+v", method, n, s, g, w)
-				}
-			}
+			sameSteps(t, fmt.Sprintf("%s n=%d", method, n), d, method)
 		}
 	}
+}
+
+// TestJaccardMatricesMatchFullScan: on JSM-shaped matrices as large as
+// sweep inputs, where nearly every step is read from the row caches,
+// Build's steps equal the full-scan reference's for every method.
+func TestJaccardMatricesMatchFullScan(t *testing.T) {
+	sizes := []int{2, 9, 64, 150, 320, 400}
+	if testing.Short() {
+		sizes = sizes[:4]
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, method := range AllMethods() {
+		for i, n := range sizes {
+			u := []int{3, 5, 8, 12}[(int(method)+i)%4]
+			sameSteps(t, fmt.Sprintf("%s n=%d u=%d", method, n, u), jaccardMatrix(rng, n, u), method)
+		}
+	}
+}
+
+// TestBuildWorkCounts pins the work the row caches save, so that an edit
+// which falls back to the cubic scan fails here while its Steps stay
+// right. On a 320-object JSM-shaped input, as large as a sweep's thread
+// level, no ward step falls back, and rescans read at most n² cells
+// (43,110 as written) where the scan visits n³/6 ≈ 5.5 M pairs.
+func TestBuildWorkCounts(t *testing.T) {
+	const n = 320
+	d := jaccardMatrix(rand.New(rand.NewSource(n)), n, 5)
+	var st stats
+	if _, err := build(d, Ward, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.fallbacks != 0 {
+		t.Errorf("%d steps fell back to the scan, want 0", st.fallbacks)
+	}
+	if st.rescanned > n*n {
+		t.Errorf("rescans read %d cells, want at most %d", st.rescanned, n*n)
+	}
+}
+
+// FuzzBuildMatchesFullScan: Build's steps equal the full-scan reference's
+// for every method on tie-heavy matrices with sub-1e-15 nudges and a
+// skewed lower triangle; a NaN or ±Inf cell is an error, not a panic.
+func FuzzBuildMatchesFullScan(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(6), uint8(4), uint8(1), false, uint8(0))
+	f.Add(int64(2), uint8(30), uint8(4), uint8(2), uint8(5), true, uint8(0))
+	f.Add(int64(3), uint8(45), uint8(5), uint8(9), uint8(3), false, uint8(0))
+	f.Add(int64(4), uint8(7), uint8(0), uint8(3), uint8(2), false, uint8(1))
+	f.Add(int64(5), uint8(7), uint8(6), uint8(3), uint8(2), true, uint8(2))
+	f.Add(int64(6), uint8(7), uint8(1), uint8(3), uint8(2), false, uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, levels, ulps uint8, skew bool, bad uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw) % 65
+		method := Method(int(mRaw) % 7)
+		d := tieMatrix(rng, n, 1+int(levels)%12, 1+int(ulps)%5, skew)
+		if v := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}[bad%4]; v != 0 && n > 1 {
+			i, j := rng.Intn(n), rng.Intn(n-1)
+			if j >= i {
+				j++
+			}
+			d[i][j] = v
+			if _, err := Build(d, method); err == nil {
+				t.Fatalf("%s: %v at (%d,%d) accepted", method, v, i, j)
+			}
+			return
+		}
+		sameSteps(t, fmt.Sprintf("%s n=%d", method, n), d, method)
+	})
 }
